@@ -149,6 +149,10 @@ func report(name string, o *outcome) result {
 	}
 	p50, _ := percentile(o.lat, 0.50)
 	p99, beyond := percentile(o.lat, 0.99)
+	if o.p50 != 0 {
+		p50, p99 = o.p50, o.p99
+		fmt.Printf("latency: p50 and p99 are medians over the completed rounds of each round's own\n")
+	}
 	fmt.Printf("== %s: %d ops in %.2fs, %d attempted, %d failed\n", name, o.ops, o.window.Seconds(), o.attempted, o.failed)
 	fmt.Printf("inputs: %s\n", o.props)
 	for _, n := range o.notes {

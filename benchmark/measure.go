@@ -27,6 +27,7 @@ type outcome struct {
 	lat       []time.Duration // per-op latency as the caller sees it
 	marks     []mark          // completions over the window
 	rate      float64         // ops per second; 0 means ops over the whole window
+	p50, p99  time.Duration   // latency percentiles; 0 means over all of lat
 	peakRSS   float64         // MB
 	layer     map[string]float64
 	props     string   // the input-property line
@@ -56,24 +57,36 @@ func (o *outcome) timeline() []float64 {
 	return per
 }
 
-// roundRate is the throughput of the median completed round of opsPer
-// ops, given when each round completed; with fewer than minRounds it is
-// 0, and the whole window's rate stands.
-func roundRate(o *outcome, ends []time.Duration, opsPer int) float64 {
+// round is one completed round of the input list.
+type round struct {
+	end time.Duration   // when its last op completed, from the window start
+	lat []time.Duration // its ops' latencies
+}
+
+// roundStats sets the run's throughput and latency percentiles from its
+// completed rounds of opsPer ops each: the rate of the median round, and
+// the medians over rounds of each round's p50 and p99. Every round has the
+// same input composition, so a stretch of the window the machine ran
+// slowly moves one round, not the result. With fewer than minRounds the
+// whole window's figures stand.
+func roundStats(o *outcome, rounds []round, opsPer int) {
 	const minRounds = 3
-	ends = append([]time.Duration(nil), ends...)
-	sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
-	var spans []time.Duration
+	sort.Slice(rounds, func(i, j int) bool { return rounds[i].end < rounds[j].end })
+	var spans, p50s, p99s []time.Duration
 	prev := time.Duration(0)
-	for _, e := range ends {
-		spans = append(spans, e-prev)
-		prev = e
+	for _, r := range rounds {
+		spans = append(spans, r.end-prev)
+		prev = r.end
+		p50, _ := percentile(r.lat, 0.50)
+		p99, _ := percentile(r.lat, 0.99)
+		p50s, p99s = append(p50s, p50), append(p99s, p99)
 	}
 	o.note("rounds: %d completed, %d ops each, durations %v", len(spans), opsPer, spans)
 	if len(spans) < minRounds {
-		return 0
+		return
 	}
-	return float64(opsPer) / median(spans).Seconds()
+	o.rate = float64(opsPer) / median(spans).Seconds()
+	o.p50, o.p99 = median(p50s), median(p99s)
 }
 
 // note records one check result line.

@@ -9,11 +9,10 @@ package main
 // campaign per (program, version) row: all of the family's optimizing
 // levels of one compiler version. The engine does the work one campaign
 // over the whole list would, and the time to each row's verdict is
-// observed, which gives enough latency samples for a p99. Throughput is
-// reported per round of the list (see inputs.go): every round has the
-// same length composition, so the median round time is the run's
-// throughput, robust to a stretch of the window that the machine ran
-// slowly.
+// observed as the op latency. Throughput and latency are reported per
+// round of the list (see inputs.go and roundStats): every round has the
+// same length composition, so the median round is robust to a stretch of
+// the window that the machine ran slowly.
 
 import (
 	"context"
@@ -100,7 +99,8 @@ func runSweep(rc runConfig) *outcome {
 	for r := range left {
 		left[r] = roundJobs
 	}
-	var roundEnds []time.Duration
+	rounds := make([]round, len(left))
+	var done []round
 	w := openWindow(nil, engines[pokeholes.GC], engines[pokeholes.CL])
 	ctx, cancel := context.WithDeadline(context.Background(), w.start.Add(time.Duration(rc.seconds)*time.Second))
 	var mu sync.Mutex
@@ -138,8 +138,10 @@ func runSweep(rc runConfig) *outcome {
 					rows = append(rows, row)
 					cells += int64(len(res.Reports))
 					if r := j / roundJobs; r < len(left) {
+						rounds[r].lat = append(rounds[r].lat, lat)
 						if left[r]--; left[r] == 0 {
-							roundEnds = append(roundEnds, at)
+							rounds[r].end = at
+							done = append(done, rounds[r])
 						}
 					}
 				}
@@ -154,7 +156,7 @@ func runSweep(rc runConfig) *outcome {
 	}
 	w.close(o, cells)
 	o.attempted = cells + o.failed
-	o.rate = roundRate(o, roundEnds, roundSize*(len(pokeholes.FullMatrix(pokeholes.GC).Configs())+len(pokeholes.FullMatrix(pokeholes.CL).Configs())))
+	roundStats(o, done, roundSize*(len(pokeholes.FullMatrix(pokeholes.GC).Configs())+len(pokeholes.FullMatrix(pokeholes.CL).Configs())))
 
 	// Checks: the report digests of the picked rows against the reference
 	// engine's, and the VM against the interpreter on a seeded sample of
