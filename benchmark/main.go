@@ -74,7 +74,7 @@ var workloads = map[string]func(runConfig) *outcome{
 func main() {
 	name := flag.String("workload", "", "workload to run: sweep, serve, or all (each in turn)")
 	seed := flag.Int64("seed", 1, "seed the workload's inputs are generated from")
-	seconds := flag.Int("seconds", 40, "length of the timed window in seconds")
+	seconds := flag.Int("seconds", 50, "length of the timed window in seconds")
 	trace := flag.Int("trace", 0, "1: report per-layer metrics, adding a traced replay; 0: end-to-end metrics")
 	workdir := flag.String("workdir", ".bench_build/run", "directory the traced replay writes its spans to")
 	flag.Parse()

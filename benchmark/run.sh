@@ -2,7 +2,7 @@
 # Builds the benchmark from the checkout's source and runs it with the
 # given arguments. Run it from the repository root:
 #
-#	bash benchmark/run.sh --workload sweep --seed 1 --seconds 20 --trace 0
+#	bash benchmark/run.sh --workload sweep --seed 1 --seconds 50 --trace 0
 #
 # Build outputs, the Go build cache and every file a run writes stay under
 # the build directory ($CARGO_TARGET_DIR, default .bench_build) of the
