@@ -29,7 +29,7 @@ func TestMain(m *testing.M) {
 func failedFrac(o *outcome) float64 { return ratio(float64(o.failed), float64(o.attempted)) }
 
 func TestWrongServeBodyIsCounted(t *testing.T) {
-	in, err := makeServeInputs(1, 1)
+	in, err := makeServeInputs(1, 1, serveWarm)
 	if err != nil {
 		t.Fatal(err)
 	}

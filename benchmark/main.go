@@ -67,12 +67,13 @@ type result struct {
 }
 
 var workloads = map[string]func(runConfig) *outcome{
-	"sweep": runSweep,
-	"serve": runServe,
+	"sweep":      runSweep,
+	"serve":      runServe(serveWarm),
+	"serve-cold": runServe(serveCold),
 }
 
 func main() {
-	name := flag.String("workload", "", "workload to run: sweep, serve, or all (each in turn)")
+	name := flag.String("workload", "", "workload to run: sweep, serve, serve-cold, or all (each in turn)")
 	seed := flag.Int64("seed", 1, "seed the workload's inputs are generated from")
 	seconds := flag.Int("seconds", 50, "length of the timed window in seconds")
 	trace := flag.Int("trace", 0, "1: report per-layer metrics, adding a traced replay; 0: end-to-end metrics")
@@ -83,11 +84,11 @@ func main() {
 	}
 	names := []string{*name}
 	if *name == "all" {
-		names = []string{"sweep", "serve"}
+		names = []string{"sweep", "serve", "serve-cold"}
 	}
 	for _, n := range names {
 		if workloads[n] == nil {
-			fatalf("unknown workload %q (want sweep, serve or all)", *name)
+			fatalf("unknown workload %q (want sweep, serve, serve-cold or all)", *name)
 		}
 	}
 	if _, err := os.Stat(goldenDir); err != nil {

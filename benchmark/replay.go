@@ -39,11 +39,13 @@ const (
 	replaySweepPrograms = 3
 	replayServeRequests = 200
 	// replayViolations caps the violations the bug loop triages per
-	// program and family, and replayReductions the buckets it minimizes
-	// per replay, so the replay's length does not hinge on one
-	// violation-rich program.
-	replayViolations = 4
-	replayReductions = 1
+	// program and family, replayServeTriages those it triages in a whole
+	// serve replay, and replayReductions the buckets it minimizes per
+	// replay, so the replay's length does not hinge on a few
+	// violation-rich programs.
+	replayViolations   = 4
+	replayServeTriages = 8
+	replayReductions   = 1
 )
 
 // replayLayers are the layers the replay reports, in print order.
@@ -70,9 +72,13 @@ func replay(name string, rc runConfig) (*replayResult, error) {
 	case "sweep":
 		pool := programPool(rc.seed, replaySweepPrograms)
 		run = func(r *recorder) (int, error) { return replaySweep(r, pool) }
-	case "serve":
+	case "serve", "serve-cold":
+		mix := serveWarm
+		if name == "serve-cold" {
+			mix = serveCold
+		}
 		// The stream is generated once, outside both timed replays.
-		in, err := makeServeInputs(rc.seed, rc.seconds)
+		in, err := makeServeInputs(rc.seed, rc.seconds, mix)
 		if err != nil {
 			return nil, err
 		}
@@ -249,13 +255,13 @@ func (l layers) cells(p *minic.Program, facts *analysis.Facts, cfgs []compiler.C
 	return out, nil
 }
 
-// replaySweep replays the first programs of the sweep's list. No timed
-// workload hunts (see inputs.go), so the sweep's replay also runs the
-// hunt's bug loop (triage, reduce, corpus) on the violations its programs
-// show: that keeps those layers measured on every traced run.
+// replaySweep replays the first programs of the sweep's list. No workload
+// hunts, so every replay also runs the hunt's bug loop (triage, reduce,
+// corpus) on the violations its programs show: that keeps those layers
+// measured on every traced run.
 func replaySweep(r *recorder, pool []pooled) (int, error) {
 	l := layers{r}
-	bl := &bugLoop{l: l, c: corpus.New()}
+	bl := &bugLoop{l: l, c: corpus.New(), triages: -1}
 	ops := 0
 	for i, in := range pool[:replaySweepPrograms] {
 		r.setOp(i)
@@ -285,6 +291,7 @@ func replaySweep(r *recorder, pool []pooled) (int, error) {
 type bugLoop struct {
 	l          layers
 	c          *corpus.Corpus
+	triages    int // left to run; negative means no limit
 	reductions int
 }
 
@@ -296,10 +303,11 @@ func (bl *bugLoop) bucket(p *minic.Program, src string, facts *analysis.Facts, c
 	for ci, vs := range viols {
 		cfg := cfgs[ci]
 		for _, v := range vs {
-			if triaged == replayViolations {
+			if triaged == replayViolations || bl.triages == 0 {
 				break
 			}
 			triaged++
+			bl.triages--
 			tg := triage.Target{Prog: p, Facts: facts, Cfg: cfg, Key: v.Key(), Compile: bl.l.compile,
 				Debugger: pokeholes.NativeDebugger(cfg.Family)}
 			end := r.begin("triage")
@@ -374,6 +382,7 @@ func (t *handlerTimer) last() (time.Time, time.Time) {
 
 func replayServe(r *recorder, rc runConfig, in *serveInputs) (int, error) {
 	l := layers{r}
+	bl := &bugLoop{l: l, c: corpus.New(), triages: replayServeTriages}
 	timer := &handlerTimer{h: pokeholes.NewEngine(pokeholes.WithWorkers(rc.workers)).NewServer(pokeholes.ServeSpec{}).Handler()}
 	ts := httptest.NewServer(timer)
 	defer ts.Close()
@@ -397,6 +406,11 @@ func replayServe(r *recorder, rc runConfig, in *serveInputs) (int, error) {
 			return 0, err
 		}
 
+		if req.prog >= in.goldens {
+			end := r.begin("fuzzgen")
+			fuzzgen.GenerateSeed(in.seeds[req.prog])
+			end()
+		}
 		p, err := l.parse(in.srcs[req.prog])
 		if err != nil {
 			return 0, err
@@ -407,7 +421,11 @@ func replayServe(r *recorder, rc runConfig, in *serveInputs) (int, error) {
 			mx := pokeholes.Matrix{Family: pokeholes.GC, Versions: goldenSweep.Versions, Levels: goldenSweep.Levels}
 			cfgs = mx.Configs()
 		}
-		if _, err := l.cells(p, facts, cfgs); err != nil {
+		viols, err := l.cells(p, facts, cfgs)
+		if err != nil {
+			return 0, err
+		}
+		if err := bl.bucket(p, in.srcs[req.prog], facts, cfgs, viols); err != nil {
 			return 0, err
 		}
 	}

@@ -36,14 +36,11 @@ const (
 	goldenDir = "testdata/golden"
 	// serveWarmup is the untimed prefix of the stream.
 	serveWarmup = 48
-	// serveRepeatShare is the chance a request re-sends an earlier one.
-	serveRepeatShare = 0.5
 	// serveSweepShare is the chance a fresh request is a /sweep.
 	serveSweepShare = 0.2
-	// serveRequestsPerSecond sizes the stream, and serveProgramsPerSecond
-	// the program pool, generously for the window's length.
+	// serveRequestsPerSecond sizes the stream generously for the window's
+	// length.
 	serveRequestsPerSecond = 5000
-	serveProgramsPerSecond = 16
 	// serveReferenceSample is how many distinct non-golden requests of
 	// the window are re-answered by the reference engine, drawn among the
 	// first serveReferenceWithin of them.
@@ -68,6 +65,7 @@ type request struct {
 type serveInputs struct {
 	progs   []*minic.Program
 	srcs    []string // request sources, parallel to progs
+	seeds   []int64  // fuzzer seeds, parallel to progs (0 for golden programs)
 	goldens int      // the first goldens programs of the pool are the golden ones
 	stream  []*request
 	repeat  []bool // the stream's request occurred earlier in the stream
@@ -100,7 +98,24 @@ func loadGoldens() ([]string, [][2][]byte, error) {
 	return out, want, nil
 }
 
-func makeServeInputs(seed int64, seconds int) (*serveInputs, error) {
+// serveMix is a serve workload's traffic: the chance a request re-sends
+// an earlier one, and the program pool's size per second of window.
+type serveMix struct {
+	repeatShare       float64
+	programsPerSecond int
+}
+
+var (
+	// serveWarm re-sends about half its requests, so the response cache
+	// answers many of them.
+	serveWarm = serveMix{repeatShare: 0.5, programsPerSecond: 16}
+	// serveCold never re-sends on purpose and draws from a pool large
+	// enough that few fresh requests collide, so nearly every request
+	// misses the response cache and compiles.
+	serveCold = serveMix{repeatShare: 0, programsPerSecond: 128}
+)
+
+func makeServeInputs(seed int64, seconds int, mix serveMix) (*serveInputs, error) {
 	gsrcs, gwant, err := loadGoldens()
 	if err != nil {
 		return nil, err
@@ -113,10 +128,12 @@ func makeServeInputs(seed int64, seconds int) (*serveInputs, error) {
 			return nil, fmt.Errorf("golden program: %v", err)
 		}
 		in.progs = append(in.progs, p)
+		in.seeds = append(in.seeds, 0)
 	}
-	for _, p := range programPool(seed, serveProgramsPerSecond*seconds) {
+	for _, p := range programPool(seed, mix.programsPerSecond*seconds) {
 		in.progs = append(in.progs, p.prog)
 		srcs = append(srcs, p.src)
+		in.seeds = append(in.seeds, p.seed)
 	}
 	in.srcs = srcs
 	rng := rand.New(rand.NewSource(seed))
@@ -176,7 +193,7 @@ func makeServeInputs(seed int64, seconds int) (*serveInputs, error) {
 		switch {
 		case i >= serveWarmup && (i-serveWarmup)%3 == 0 && (i-serveWarmup)/3 < len(goldenReqs):
 			r = goldenReqs[(i-serveWarmup)/3]
-		case len(distinct) > 0 && rng.Float64() < serveRepeatShare:
+		case len(distinct) > 0 && rng.Float64() < mix.repeatShare:
 			r = distinct[rng.Intn(len(distinct))]
 		default:
 			r = fresh()
@@ -242,7 +259,12 @@ func drive(url string, clients []*http.Client, stream []*request, from, to int, 
 	return all
 }
 
-func runServe(rc runConfig) *outcome {
+// runServe returns the serve workload of one traffic mix.
+func runServe(mix serveMix) func(runConfig) *outcome {
+	return func(rc runConfig) *outcome { return serveRun(rc, mix) }
+}
+
+func serveRun(rc runConfig, mix serveMix) *outcome {
 	o := &outcome{}
 	var in *serveInputs
 	var eng *pokeholes.Engine
@@ -266,7 +288,7 @@ func runServe(rc runConfig) *outcome {
 			t0 = processStart
 		}
 		var err error
-		in, err = makeServeInputs(rc.seed, rc.seconds)
+		in, err = makeServeInputs(rc.seed, rc.seconds, mix)
 		if err != nil {
 			o.fail(1, "serve inputs: %v", err)
 			o.attempted = 1
