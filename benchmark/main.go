@@ -1,11 +1,13 @@
 // Command loopbench is the repository's benchmark. It times the paper's
 // checking loop (fuzz, compile under many configurations, trace under a
-// debugger, check the conjectures) on two workloads, each driven only
+// debugger, check the conjectures) on three workloads, each driven only
 // through the public entry points Engine.Campaign and
 // Engine.NewServer(...).Handler():
 //
-//	sweep  full-matrix campaigns over gc then cl, one op per cell
-//	serve  closed-loop /check and /sweep traffic, one op per request
+//	sweep       full-matrix campaigns over gc then cl, one op per cell
+//	serve       closed-loop /check and /sweep traffic, about half of it
+//	            re-sent, one op per request
+//	serve-cold  the same traffic with nothing re-sent, one op per request
 //
 // A run generates its inputs from -seed, measures for -seconds, checks the
 // outputs outside the timed window, and prints one JSON object as the last
@@ -37,7 +39,7 @@ var processStart = time.Now()
 const (
 	// setupRepeats is how many times a run sets up its workload; setup_s
 	// is the median.
-	setupRepeats = 5
+	setupRepeats = 3
 	// Output-check sample sizes, per run.
 	sweepDigestSample = 4  // (program, version) rows
 	sweepDigestWithin = 64 // picked among the first this many rows

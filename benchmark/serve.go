@@ -1,15 +1,16 @@
 package main
 
-// The serve workload: Engine.NewServer(ServeSpec{}).Handler() on a
+// The serve workloads: Engine.NewServer(ServeSpec{}).Handler() on a
 // loopback httptest listener, driven closed-loop by one client per CPU,
 // each on its own connection, each sending its next request only after
 // the previous reply arrived. The seeded request stream mixes POST /check
 // (gc or cl trunk at a seeded level) with POST /sweep over the golden
-// 2x2 matrix; half the requests re-send an earlier (program, endpoint,
-// configuration) and fresh draws can repeat one too, so the measured
-// share of repeats, printed with the inputs, is higher. The golden
-// programs are in it. An untimed prefix of the stream warms the server
-// first. One op is one request.
+// 2x2 matrix, and the golden programs are in it. In serve, half the
+// requests re-send an earlier (program, endpoint, configuration); in
+// serve-cold none do (see serveMix). Fresh draws can repeat a request
+// too, so the measured share of repeats is printed with the inputs. An
+// untimed prefix of the stream warms the server first. One op is one
+// request.
 
 import (
 	"bytes"
@@ -112,7 +113,7 @@ var (
 	// serveCold never re-sends on purpose and draws from a pool large
 	// enough that few fresh requests collide, so nearly every request
 	// misses the response cache and compiles.
-	serveCold = serveMix{repeatShare: 0, programsPerSecond: 128}
+	serveCold = serveMix{repeatShare: 0, programsPerSecond: 64}
 )
 
 func makeServeInputs(seed int64, seconds int, mix serveMix) (*serveInputs, error) {
