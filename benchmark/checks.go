@@ -1,15 +1,13 @@
 package main
 
 // Output checks. None of them runs inside a timed window. Each compares
-// what the measured engine produced against an independent reference: a
+// what the measured server produced against an independent reference: a
 // serial engine with caching off (WithWorkers(1), WithCompileCache(0)),
 // the committed golden HTTP bodies, or the IR interpreter. A mismatch is
 // counted as a failed op, never filtered out.
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -27,27 +25,6 @@ import (
 // worker and no caches, so no reuse tier can hide a wrong result.
 func referenceEngine() *pokeholes.Engine {
 	return pokeholes.NewEngine(pokeholes.WithWorkers(1), pokeholes.WithCompileCache(0))
-}
-
-// reportsDigest hashes everything a sweep reports per configuration: the
-// lines stopped at with every presented variable, and the violations.
-func reportsDigest(reps []*pokeholes.Report) string {
-	h := sha256.New()
-	for _, r := range reps {
-		fmt.Fprintf(h, "%s steppable=%d\n", r.Config, len(r.Trace.Steppable))
-		for _, line := range r.Trace.HitLines() {
-			st := r.Trace.Stops[line]
-			fmt.Fprintf(h, " %d %s", line, st.Frame)
-			for _, v := range st.Vars {
-				fmt.Fprintf(h, " %s=%d/%d", v.Name, v.State, v.Value)
-			}
-			fmt.Fprintln(h)
-		}
-		for _, v := range r.Violations {
-			fmt.Fprintf(h, " C%d %d %s %s %s %q\n", v.Conjecture, v.Line, v.Func, v.Var, v.State, v.Detail)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // cell is one compiled (program, configuration) pair an op produced.
@@ -133,10 +110,10 @@ func vmObserve(exe *object.Executable) (*ir.Observation, error) { return vm.Obse
 // checkVM runs the VM-versus-interpreter check on each cell's executable
 // as the measured engine built it, and returns the ops whose cell
 // disagreed.
-func checkVM(ctx context.Context, o *outcome, eng func(pokeholes.Config) *pokeholes.Engine, cells []cell, observe observeFn) map[int]bool {
+func checkVM(ctx context.Context, o *outcome, eng *pokeholes.Engine, cells []cell, observe observeFn) map[int]bool {
 	bad := map[int]bool{}
 	for _, c := range cells {
-		exe, err := eng(c.cfg).Compile(ctx, c.prog, c.cfg)
+		exe, err := eng.Compile(ctx, c.prog, c.cfg)
 		msg := ""
 		if err != nil {
 			msg = fmt.Sprintf("compile: %v", err)

@@ -8,6 +8,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"testing"
 
@@ -71,10 +72,9 @@ func TestWrongVMObservationIsCounted(t *testing.T) {
 	}
 	eng := pokeholes.NewEngine(pokeholes.WithWorkers(1))
 	cells := []cell{{prog: prog, cfg: pokeholes.Config{Family: pokeholes.GC, Version: "trunk", Level: "O2"}, op: 7}}
-	engFor := func(pokeholes.Config) *pokeholes.Engine { return eng }
 
 	o := &outcome{attempted: 1}
-	if bad := checkVM(context.Background(), o, engFor, cells, vmObserve); len(bad) != 0 {
+	if bad := checkVM(context.Background(), o, eng, cells, vmObserve); len(bad) != 0 {
 		t.Fatalf("a correct build failed the VM check: %v", o.notes)
 	}
 	wrongExit := func(exe *object.Executable) (*ir.Observation, error) {
@@ -84,7 +84,7 @@ func TestWrongVMObservationIsCounted(t *testing.T) {
 		}
 		return obs, err
 	}
-	bad := checkVM(context.Background(), o, engFor, cells, wrongExit)
+	bad := checkVM(context.Background(), o, eng, cells, wrongExit)
 	o.failed += int64(len(bad))
 	if !bad[7] || o.failed != 1 || failedFrac(o) != 1 {
 		t.Fatalf("a wrong VM observation counted %d failed ops (failed_frac %v, bad %v), want op 7", o.failed, failedFrac(o), bad)
@@ -92,9 +92,9 @@ func TestWrongVMObservationIsCounted(t *testing.T) {
 }
 
 func TestProgramPoolIsSeededAndMixed(t *testing.T) {
-	a, b := programPool(5, 100), programPool(5, 100)
-	if len(a) != len(b) || len(a) < 100 {
-		t.Fatalf("pool sizes %d and %d, want equal and at least 100", len(a), len(b))
+	a, b := programPool(5, roundSize), programPool(5, roundSize)
+	if len(a) != roundSize || len(b) != roundSize {
+		t.Fatalf("pool sizes %d and %d, want %d", len(a), len(b), roundSize)
 	}
 	counts := make([]int, len(lengthClasses))
 	for i := range a {
@@ -102,19 +102,30 @@ func TestProgramPoolIsSeededAndMixed(t *testing.T) {
 			t.Fatalf("program %d differs between two pools of one seed", i)
 		}
 		lines := bytes.Count([]byte(a[i].src), []byte("\n"))
-		for c, lc := range lengthClasses {
-			if lines < lc.upper {
-				counts[c]++
-				break
-			}
+		c := a[i].class
+		if lines >= lengthClasses[c].upper || c > 0 && lines < lengthClasses[c-1].upper {
+			t.Fatalf("program %d has %d lines but is in length class %d", i, lines, c)
 		}
+		counts[c]++
 	}
 	for c, lc := range lengthClasses {
 		if counts[c] != lc.perRound*len(a)/roundSize {
 			t.Errorf("length class %d holds %d programs, want %d", c, counts[c], lc.perRound*len(a)/roundSize)
 		}
 	}
-	if c := programPool(6, 100); c[0].seed == a[0].seed {
+	c := programPool(6, roundSize)
+	if c[0].seed == a[0].seed {
 		t.Error("another seed gave the same first program")
+	}
+	tail := func(pool []pooled) (seeds []int64) {
+		for _, p := range pool {
+			if isTail(p.class) {
+				seeds = append(seeds, p.seed)
+			}
+		}
+		return seeds
+	}
+	if ta, tc := tail(a), tail(c); len(ta) == 0 || fmt.Sprint(ta) != fmt.Sprint(tc) {
+		t.Errorf("tail programs %v and %v, want the same non-empty list for every seed", ta, tc)
 	}
 }

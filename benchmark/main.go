@@ -1,13 +1,12 @@
 // Command loopbench is the repository's benchmark. It times the paper's
 // checking loop (fuzz, compile under many configurations, trace under a
-// debugger, check the conjectures) on three workloads, each driven only
-// through the public entry points Engine.Campaign and
-// Engine.NewServer(...).Handler():
+// debugger, check the conjectures) on two workloads, each driven only
+// through the public entry point Engine.NewServer(...).Handler():
 //
-//	sweep       full-matrix campaigns over gc then cl, one op per cell
-//	serve       closed-loop /check and /sweep traffic, about half of it
-//	            re-sent, one op per request
-//	serve-cold  the same traffic with nothing re-sent, one op per request
+//	serve       closed-loop /check and /sweep traffic, 60% of it re-sent,
+//	            one op per request
+//	serve-cold  closed-loop /check traffic with every request distinct,
+//	            one op per request
 //
 // A run generates its inputs from -seed, measures for -seconds, checks the
 // outputs outside the timed window, and prints one JSON object as the last
@@ -22,7 +21,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -30,21 +28,9 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"repro/internal/minic"
 )
 
 var processStart = time.Now()
-
-const (
-	// setupRepeats is how many times a run sets up its workload; setup_s
-	// is the median.
-	setupRepeats = 3
-	// Output-check sample sizes, per run.
-	sweepDigestSample = 4  // (program, version) rows
-	sweepDigestWithin = 64 // picked among the first this many rows
-	vmCheckSample     = 24
-)
 
 // runConfig is one invocation's settings.
 type runConfig struct {
@@ -52,6 +38,7 @@ type runConfig struct {
 	seconds int
 	workers int
 	workdir string
+	start   time.Time // setup_s counts from here
 }
 
 // metric is one named measurement with its unit.
@@ -68,14 +55,8 @@ type result struct {
 	Metrics   map[string]metric `json:"metrics"`
 }
 
-var workloads = map[string]func(runConfig) *outcome{
-	"sweep":      runSweep,
-	"serve":      runServe(serveWarm),
-	"serve-cold": runServe(serveCold),
-}
-
 func main() {
-	name := flag.String("workload", "", "workload to run: sweep, serve, serve-cold, or all (each in turn)")
+	name := flag.String("workload", "", "workload to run: serve, serve-cold, or all (each in turn)")
 	seed := flag.Int64("seed", 1, "seed the workload's inputs are generated from")
 	seconds := flag.Int("seconds", 50, "length of the timed window in seconds")
 	trace := flag.Int("trace", 0, "1: report per-layer metrics, adding a traced replay; 0: end-to-end metrics")
@@ -86,11 +67,11 @@ func main() {
 	}
 	names := []string{*name}
 	if *name == "all" {
-		names = []string{"sweep", "serve", "serve-cold"}
+		names = []string{"serve", "serve-cold"}
 	}
 	for _, n := range names {
-		if workloads[n] == nil {
-			fatalf("unknown workload %q (want sweep, serve, serve-cold or all)", *name)
+		if _, ok := serveMixes[n]; !ok {
+			fatalf("unknown workload %q (want serve, serve-cold or all)", *name)
 		}
 	}
 	if _, err := os.Stat(goldenDir); err != nil {
@@ -100,14 +81,16 @@ func main() {
 
 	total := result{Correct: true, Metrics: map[string]metric{}}
 	for i, n := range names {
+		rc.start = processStart
 		if i > 0 {
-			// Each workload's peak memory is its own.
+			// Each workload's peak memory and set-up time are its own.
 			debug.FreeOSMemory()
 			if err := resetPeakRSS(); err != nil {
 				fatalf("resetting peak RSS between workloads: %v", err)
 			}
+			rc.start = time.Now()
 		}
-		o := workloads[n](rc)
+		o := serveRun(rc, serveMixes[n])
 		res := report(n, o)
 		// The replay's call counters come from fixed inputs on one
 		// goroutine; those that read the same in both of the run's replays
@@ -145,25 +128,22 @@ func main() {
 // report prints a run's human-readable summary and returns its
 // end-to-end result.
 func report(name string, o *outcome) result {
-	setup := median(o.setups)
-	rate := o.rate
-	if rate == 0 {
-		rate = ratio(float64(o.ops), o.window.Seconds())
-	}
-	p50, _ := percentile(o.lat, 0.50)
-	p99, beyond := percentile(o.lat, 0.99)
-	if o.p50 != 0 {
-		p50, p99 = o.p50, o.p99
-		fmt.Printf("latency: p50 and p99 are medians over the completed rounds of each round's own\n")
+	var rates []float64
+	var p50s, p99s []time.Duration
+	fewest := len(o.lat)
+	for _, s := range o.slices() {
+		rates, p50s, p99s = append(rates, s.rate), append(p50s, s.p50), append(p99s, s.p99)
+		fewest = min(fewest, s.beyond)
 	}
 	fmt.Printf("== %s: %d ops in %.2fs, %d attempted, %d failed\n", name, o.ops, o.window.Seconds(), o.attempted, o.failed)
 	fmt.Printf("inputs: %s\n", o.props)
 	for _, n := range o.notes {
 		fmt.Printf("check: %s\n", n)
 	}
-	fmt.Printf("ops/s per fifth of the window: %.1f\n", o.timeline())
-	fmt.Printf("latency: %d samples, %d beyond p99", len(o.lat), beyond)
-	if beyond < 10 {
+	fmt.Printf("per slice of the window (results are medians over the %d): ops/s %.1f p50_ms %.3f p99_ms %.1f\n",
+		windowSlices, rates, msAll(p50s), msAll(p99s))
+	fmt.Printf("latency: %d samples, at least %d beyond p99 in every slice", len(o.lat), fewest)
+	if fewest < 10 {
 		fmt.Printf(" (fewer than 10: p99 is not supported by this run)")
 	}
 	fmt.Println()
@@ -173,16 +153,24 @@ func report(name string, o *outcome) result {
 		Attempted: max(o.attempted, 1),
 		Failed:    o.failed,
 		Metrics: map[string]metric{
-			"setup_s":        {setup.Seconds(), "s"},
-			"ops_per_s":      {rate, "1/s"},
-			"latency_p50_ms": {ms(p50), "ms"},
-			"latency_p99_ms": {ms(p99), "ms"},
+			"setup_s":        {o.setup.Seconds(), "s"},
+			"ops_per_s":      {median(rates), "1/s"},
+			"latency_p50_ms": {ms(median(p50s)), "ms"},
+			"latency_p99_ms": {ms(median(p99s)), "ms"},
 			"peak_rss_mb":    {o.peakRSS, "MB"},
 		},
 	}
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+func msAll(ds []time.Duration) []float64 {
+	out := make([]float64, len(ds))
+	for i, d := range ds {
+		out[i] = ms(d)
+	}
+	return out
+}
 
 // layerMetrics converts the run's work counters to metrics.
 func (o *outcome) layerMetrics() map[string]metric {
@@ -219,18 +207,6 @@ func printLayers(name string, m map[string]metric, exact map[string]bool) {
 		}
 		fmt.Printf("%-6s %-34s %14.6g %s%s\n", name, k, m[k].Value, m[k].Unit, flag)
 	}
-}
-
-// programProps is the input-property line of a program list: how many,
-// and their mean functions and source lines.
-func programProps(progs []*minic.Program) string {
-	var fns, lines float64
-	for _, p := range progs {
-		fns += float64(len(p.Funcs))
-		lines += float64(strings.Count(minic.Render(p), "\n"))
-	}
-	n := math.Max(float64(len(progs)), 1)
-	return fmt.Sprintf("programs=%d mean_functions=%.2f mean_source_lines=%.1f", len(progs), fns/n, lines/n)
 }
 
 func mustMkdir(dir string) string {

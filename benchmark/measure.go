@@ -19,74 +19,49 @@ import (
 
 // outcome is what one workload run measured and checked.
 type outcome struct {
-	setups    []time.Duration // each set-up of the run; the first counts from process start
+	setup     time.Duration   // from runConfig.start to the first timed op
 	window    time.Duration   // the timed window
 	ops       int64           // ops completed in the window
 	attempted int64           // ops attempted (completed plus failed)
 	failed    int64           // ops that errored, were refused or produced a wrong output
 	lat       []time.Duration // per-op latency as the caller sees it
-	marks     []mark          // completions over the window
-	rate      float64         // ops per second; 0 means ops over the whole window
-	p50, p99  time.Duration   // latency percentiles; 0 means over all of lat
+	ends      []time.Duration // each op's completion from the window start, parallel to lat
 	peakRSS   float64         // MB
 	layer     map[string]float64
 	props     string   // the input-property line
 	notes     []string // output-check results, one line each
 }
 
-// mark is a completion of n ops at some offset into the window.
-type mark struct {
-	at time.Duration
-	n  int64
+// windowSlices is how many equal slices of the window the end-to-end
+// figures are taken over. Each figure is the median over the slices, so a
+// stretch of a few seconds in which the shared machine ran slowly moves
+// one slice, not the result. Every slice holds the inputs' length mix
+// (see inputs.go), so the slices measure the same work.
+const windowSlices = 3
+
+// slice is one slice of the window: its throughput and the latency
+// percentiles of the ops that completed in it.
+type slice struct {
+	rate     float64
+	p50, p99 time.Duration
+	beyond   int // samples above p99
 }
 
-// timeline is the window's throughput per fifth of the window.
-func (o *outcome) timeline() []float64 {
-	const parts = 5
-	per := make([]float64, parts)
-	for _, m := range o.marks {
-		i := int(int64(m.at) * parts / int64(o.window+1))
-		if i >= parts {
-			i = parts - 1
-		}
-		per[i] += float64(m.n)
+// slices splits the window into windowSlices equal parts by the time each
+// op completed.
+func (o *outcome) slices() []slice {
+	lats := make([][]time.Duration, windowSlices)
+	for i, at := range o.ends {
+		s := min(int(int64(at)*windowSlices/int64(o.window+1)), windowSlices-1)
+		lats[s] = append(lats[s], o.lat[i])
 	}
-	for i := range per {
-		per[i] /= (o.window / parts).Seconds()
+	out := make([]slice, windowSlices)
+	for s, l := range lats {
+		out[s].rate = float64(len(l)) / (o.window / windowSlices).Seconds()
+		out[s].p50, _ = percentile(l, 0.50)
+		out[s].p99, out[s].beyond = percentile(l, 0.99)
 	}
-	return per
-}
-
-// round is one completed round of the input list.
-type round struct {
-	end time.Duration   // when its last op completed, from the window start
-	lat []time.Duration // its ops' latencies
-}
-
-// roundStats sets the run's throughput and latency percentiles from its
-// completed rounds of opsPer ops each: the rate of the median round, and
-// the medians over rounds of each round's p50 and p99. Every round has the
-// same input composition, so a stretch of the window the machine ran
-// slowly moves one round, not the result. With fewer than minRounds the
-// whole window's figures stand.
-func roundStats(o *outcome, rounds []round, opsPer int) {
-	const minRounds = 3
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i].end < rounds[j].end })
-	var spans, p50s, p99s []time.Duration
-	prev := time.Duration(0)
-	for _, r := range rounds {
-		spans = append(spans, r.end-prev)
-		prev = r.end
-		p50, _ := percentile(r.lat, 0.50)
-		p99, _ := percentile(r.lat, 0.99)
-		p50s, p99s = append(p50s, p50), append(p99s, p99)
-	}
-	o.note("rounds: %d completed, %d ops each, durations %v", len(spans), opsPer, spans)
-	if len(spans) < minRounds {
-		return
-	}
-	o.rate = float64(opsPer) / median(spans).Seconds()
-	o.p50, o.p99 = median(p50s), median(p99s)
+	return out
 }
 
 // note records one check result line.
@@ -121,23 +96,16 @@ func readRuntime() rtSample {
 // are read at both ends and their deltas become the per-layer work
 // counters of the run.
 type window struct {
-	engines []*pokeholes.Engine
-	server  *pokeholes.Server
-	start   time.Time
-	eng0    []pokeholes.EngineStats
-	srv0    pokeholes.ServerStats
-	rt0     rtSample
+	engine *pokeholes.Engine
+	server *pokeholes.Server
+	start  time.Time
+	eng0   pokeholes.EngineStats
+	srv0   pokeholes.ServerStats
+	rt0    rtSample
 }
 
-func openWindow(server *pokeholes.Server, engines ...*pokeholes.Engine) *window {
-	w := &window{engines: engines, server: server}
-	for _, e := range engines {
-		w.eng0 = append(w.eng0, e.Stats())
-	}
-	if server != nil {
-		w.srv0 = server.Stats()
-	}
-	w.rt0 = readRuntime()
+func openWindow(server *pokeholes.Server, engine *pokeholes.Engine) *window {
+	w := &window{engine: engine, server: server, eng0: engine.Stats(), srv0: server.Stats(), rt0: readRuntime()}
 	w.start = time.Now()
 	return w
 }
@@ -149,48 +117,29 @@ func (w *window) close(o *outcome, ops int64) {
 	rt := readRuntime()
 	o.ops = ops
 	o.peakRSS = peakRSSMB()
-	var d pokeholes.EngineStats
-	entries := 0
-	for i, e := range w.engines {
-		s, s0 := e.Stats(), w.eng0[i]
-		d.Frontends += s.Frontends - s0.Frontends
-		d.FnRelowered += s.FnRelowered - s0.FnRelowered
-		d.Compiles += s.Compiles - s0.Compiles
-		d.Traces += s.Traces - s0.Traces
-		d.PassesRun += s.PassesRun - s0.PassesRun
-		d.PassesSkipped += s.PassesSkipped - s0.PassesSkipped
-		d.SnapshotHits += s.SnapshotHits - s0.SnapshotHits
-		d.CacheHits += s.CacheHits - s0.CacheHits
-		d.CacheMisses += s.CacheMisses - s0.CacheMisses
-		entries += s.CacheEntries
-	}
+	e, e0 := w.engine.Stats(), w.eng0
+	s, s0 := w.server.Stats(), w.srv0
 	per := func(n int64) float64 { return ratio(float64(n), float64(ops)) }
-	m := map[string]float64{
-		"engine.frontends_per_op":      per(d.Frontends),
-		"engine.fn_relowered_per_op":   per(d.FnRelowered),
-		"engine.compiles_per_op":       per(d.Compiles),
-		"engine.traces_per_op":         per(d.Traces),
-		"engine.passes_run_per_op":     per(d.PassesRun),
-		"engine.passes_skipped_per_op": per(d.PassesSkipped),
-		"engine.snapshot_hit_frac":     ratio(float64(d.SnapshotHits), float64(d.Compiles)),
-		"cache.hit_frac":               ratio(float64(d.CacheHits), float64(d.CacheHits+d.CacheMisses)),
-		"cache.entries_end":            float64(entries),
-		"serve.response_hit_frac":      0,
-		"serve.rejected_frac":          0,
-		"serve.deadline_frac":          0,
+	hits, misses := s.ResponseHits-s0.ResponseHits, s.ResponseMisses-s0.ResponseMisses
+	cacheHits, cacheMisses := e.CacheHits-e0.CacheHits, e.CacheMisses-e0.CacheMisses
+	reqs := float64(s.Requests - s0.Requests)
+	o.layer = map[string]float64{
+		"engine.frontends_per_op":      per(e.Frontends - e0.Frontends),
+		"engine.fn_relowered_per_op":   per(e.FnRelowered - e0.FnRelowered),
+		"engine.compiles_per_op":       per(e.Compiles - e0.Compiles),
+		"engine.traces_per_op":         per(e.Traces - e0.Traces),
+		"engine.passes_run_per_op":     per(e.PassesRun - e0.PassesRun),
+		"engine.passes_skipped_per_op": per(e.PassesSkipped - e0.PassesSkipped),
+		"engine.snapshot_hit_frac":     ratio(float64(e.SnapshotHits-e0.SnapshotHits), float64(e.Compiles-e0.Compiles)),
+		"cache.hit_frac":               ratio(float64(cacheHits), float64(cacheHits+cacheMisses)),
+		"cache.entries_end":            float64(e.CacheEntries),
+		"serve.response_hit_frac":      ratio(float64(hits), float64(hits+misses)),
+		"serve.rejected_frac":          ratio(float64(s.Rejected-s0.Rejected), reqs),
+		"serve.deadline_frac":          ratio(float64(s.Deadline-s0.Deadline), reqs),
 		"go.alloc_mb_per_op":           per(int64(rt.allocBytes-w.rt0.allocBytes)) / (1 << 20),
 		"go.allocs_per_op":             per(int64(rt.allocObjs - w.rt0.allocObjs)),
 		"go.gc_cpu_frac":               ratio(rt.gcCPU-w.rt0.gcCPU, rt.totalCPU-w.rt0.totalCPU),
 	}
-	if w.server != nil {
-		s, s0 := w.server.Stats(), w.srv0
-		hits, misses := s.ResponseHits-s0.ResponseHits, s.ResponseMisses-s0.ResponseMisses
-		reqs := float64(s.Requests - s0.Requests)
-		m["serve.response_hit_frac"] = ratio(float64(hits), float64(hits+misses))
-		m["serve.rejected_frac"] = ratio(float64(s.Rejected-s0.Rejected), reqs)
-		m["serve.deadline_frac"] = ratio(float64(s.Deadline-s0.Deadline), reqs)
-	}
-	o.layer = m
 }
 
 func ratio(a, b float64) float64 {
@@ -244,7 +193,9 @@ func percentile(samples []time.Duration, q float64) (time.Duration, int) {
 	return s[rank], len(s) - 1 - rank
 }
 
-func median(ds []time.Duration) time.Duration {
-	d, _ := percentile(ds, 0.5)
-	return d
+// median returns the middle value of xs; of an even count, the upper one.
+func median[T float64 | time.Duration](xs []T) T {
+	s := append([]T(nil), xs...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s[len(s)/2]
 }

@@ -5,8 +5,10 @@ package main
 // with a span around every call, and so gives each layer's self time per
 // op. It skips the engine's caches on purpose: its numbers say what one
 // call into each layer costs, while the untraced run's work counters say
-// how many calls the engine actually made. The replay runs twice, with
-// spans off and on; the difference is the tracing overhead.
+// how many calls the engine actually made. The replay runs three times:
+// once untimed, so the process's cold-start costs fall on no measured
+// replay, then with spans off and with spans on; the difference of the
+// last two is the tracing overhead.
 
 import (
 	"bytes"
@@ -35,8 +37,7 @@ import (
 )
 
 const (
-	// Replay sizes, per workload: programs for sweep, requests for serve.
-	replaySweepPrograms = 3
+	// replayServeRequests is the replay's size in requests.
 	replayServeRequests = 200
 	// replayViolations caps the violations the bug loop triages per
 	// program and family, replayServeTriages those it triages in a whole
@@ -67,22 +68,14 @@ type replayResult struct {
 }
 
 func replay(name string, rc runConfig) (*replayResult, error) {
-	var run func(*recorder) (int, error)
-	switch name {
-	case "sweep":
-		pool := programPool(rc.seed, replaySweepPrograms)
-		run = func(r *recorder) (int, error) { return replaySweep(r, pool) }
-	case "serve", "serve-cold":
-		mix := serveWarm
-		if name == "serve-cold" {
-			mix = serveCold
-		}
-		// The stream is generated once, outside both timed replays.
-		in, err := makeServeInputs(rc.seed, rc.seconds, mix)
-		if err != nil {
-			return nil, err
-		}
-		run = func(r *recorder) (int, error) { return replayServe(r, rc, in) }
+	// The stream is generated once, outside the timed replays.
+	in, err := makeServeInputs(rc.seed, rc.seconds, serveMixes[name])
+	if err != nil {
+		return nil, err
+	}
+	run := func(r *recorder) (int, error) { return replayServe(r, rc, in) }
+	if _, err := run(newRecorder(false)); err != nil {
+		return nil, err
 	}
 	off := newRecorder(false)
 	t0 := time.Now()
@@ -255,36 +248,6 @@ func (l layers) cells(p *minic.Program, facts *analysis.Facts, cfgs []compiler.C
 	return out, nil
 }
 
-// replaySweep replays the first programs of the sweep's list. No workload
-// hunts, so every replay also runs the hunt's bug loop (triage, reduce,
-// corpus) on the violations its programs show: that keeps those layers
-// measured on every traced run.
-func replaySweep(r *recorder, pool []pooled) (int, error) {
-	l := layers{r}
-	bl := &bugLoop{l: l, c: corpus.New(), triages: -1}
-	ops := 0
-	for i, in := range pool[:replaySweepPrograms] {
-		r.setOp(i)
-		end := r.begin("fuzzgen")
-		p := fuzzgen.GenerateSeed(in.seed)
-		end()
-		src := l.render(p)
-		facts := l.analyze(p)
-		for _, f := range sweepFamilies {
-			cfgs := pokeholes.FullMatrix(f).Configs()
-			viols, err := l.cells(p, facts, cfgs)
-			if err != nil {
-				return 0, err
-			}
-			if err := bl.bucket(p, src, facts, cfgs, viols); err != nil {
-				return 0, err
-			}
-			ops += len(cfgs)
-		}
-	}
-	return ops, nil
-}
-
 // bugLoop is Engine.Hunt's work after checking: triage and schedule
 // reduction of each violation, bucketing into a corpus, minimization of
 // a new bucket's exemplar, and the corpus checkpoint encoding.
@@ -380,6 +343,11 @@ func (t *handlerTimer) last() (time.Time, time.Time) {
 	return t.start, t.end
 }
 
+// replayServe sends the first requests of the window to a fresh server,
+// then replays each through the layers as the server's cells would run.
+// No workload hunts, so the replay also runs the hunt's bug loop (triage,
+// reduce, corpus) on the violations its requests show: that keeps those
+// layers measured on every traced run.
 func replayServe(r *recorder, rc runConfig, in *serveInputs) (int, error) {
 	l := layers{r}
 	bl := &bugLoop{l: l, c: corpus.New(), triages: replayServeTriages}

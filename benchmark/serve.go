@@ -3,12 +3,14 @@ package main
 // The serve workloads: Engine.NewServer(ServeSpec{}).Handler() on a
 // loopback httptest listener, driven closed-loop by one client per CPU,
 // each on its own connection, each sending its next request only after
-// the previous reply arrived. The seeded request stream mixes POST /check
-// (gc or cl trunk at a seeded level) with POST /sweep over the golden
-// 2x2 matrix, and the golden programs are in it. In serve, half the
-// requests re-send an earlier (program, endpoint, configuration); in
-// serve-cold none do (see serveMix). Fresh draws can repeat a request
-// too, so the measured share of repeats is printed with the inputs. An
+// the previous reply arrived. The seeded request stream holds POST /check
+// (gc or cl trunk at each optimizing level) and, in serve, POST /sweep
+// over the golden 2x2 matrix; every golden program is checked and swept
+// early in the window. Fresh requests take the pool's programs in turn,
+// each once, so any stretch of the stream keeps the length mix of the
+// pool's rounds (see inputs.go). In serve, 60% of the requests re-send a
+// recent (program, endpoint, configuration); in serve-cold none do (see
+// serveMix). The measured share of repeats is printed with the inputs. An
 // untimed prefix of the stream warms the server first. One op is one
 // request.
 
@@ -30,15 +32,17 @@ import (
 	"time"
 
 	pokeholes "repro"
-	"repro/internal/minic"
 )
 
 const (
 	goldenDir = "testdata/golden"
 	// serveWarmup is the untimed prefix of the stream.
 	serveWarmup = 48
-	// serveSweepShare is the chance a fresh request is a /sweep.
-	serveSweepShare = 0.2
+	// serveRecent is how many of the latest distinct requests a re-sent
+	// request is drawn from: few enough that the server's response cache
+	// (pokeholes.DefaultResponseCache entries) still holds them, so a
+	// re-sent request exercises the cache's hit path, not its eviction.
+	serveRecent = 256
 	// serveRequestsPerSecond sizes the stream generously for the window's
 	// length.
 	serveRequestsPerSecond = 5000
@@ -64,9 +68,9 @@ type request struct {
 
 // serveInputs is the program pool and request stream of one run.
 type serveInputs struct {
-	progs   []*minic.Program
-	srcs    []string // request sources, parallel to progs
-	seeds   []int64  // fuzzer seeds, parallel to progs (0 for golden programs)
+	srcs    []string // request sources
+	seeds   []int64  // fuzzer seeds, parallel to srcs (0 for golden programs)
+	fns     []int    // numbers of functions, parallel to srcs
 	goldens int      // the first goldens programs of the pool are the golden ones
 	stream  []*request
 	repeat  []bool // the stream's request occurred earlier in the stream
@@ -100,20 +104,25 @@ func loadGoldens() ([]string, [][2][]byte, error) {
 }
 
 // serveMix is a serve workload's traffic: the chance a request re-sends
-// an earlier one, and the program pool's size per second of window.
+// an earlier one, the program pool's size per second of window (sized
+// well above what a window uses), and how often a fresh request is a
+// /sweep (every sweepEvery-th of its length class; 0: never).
 type serveMix struct {
 	repeatShare       float64
 	programsPerSecond int
+	sweepEvery        int
 }
 
 var (
-	// serveWarm re-sends about half its requests, so the response cache
-	// answers many of them.
-	serveWarm = serveMix{repeatShare: 0.5, programsPerSecond: 16}
-	// serveCold never re-sends on purpose and draws from a pool large
-	// enough that few fresh requests collide, so nearly every request
-	// misses the response cache and compiles.
-	serveCold = serveMix{repeatShare: 0, programsPerSecond: 64}
+	// serveWarm re-sends 60% of its requests, so the response cache
+	// answers most of them and the median request is a hit.
+	serveWarm = serveMix{repeatShare: 0.6, programsPerSecond: 200, sweepEvery: 5}
+	// serveCold sends every request once, so each misses the response
+	// cache and compiles. Its fresh requests are all /checks: a /sweep of
+	// one of the longest programs holds both CPUs for tens of seconds.
+	serveCold = serveMix{programsPerSecond: 300}
+
+	serveMixes = map[string]serveMix{"serve": serveWarm, "serve-cold": serveCold}
 )
 
 func makeServeInputs(seed int64, seconds int, mix serveMix) (*serveInputs, error) {
@@ -123,38 +132,53 @@ func makeServeInputs(seed int64, seconds int, mix serveMix) (*serveInputs, error
 	}
 	in := &serveInputs{goldens: len(gsrcs)}
 	srcs := append([]string(nil), gsrcs...)
+	var classes []int // the length class of each program after the goldens
 	for _, s := range gsrcs {
 		p, err := pokeholes.ParseProgram(s)
 		if err != nil {
 			return nil, fmt.Errorf("golden program: %v", err)
 		}
-		in.progs = append(in.progs, p)
+		in.fns = append(in.fns, len(p.Funcs))
 		in.seeds = append(in.seeds, 0)
 	}
 	for _, p := range programPool(seed, mix.programsPerSecond*seconds) {
-		in.progs = append(in.progs, p.prog)
+		in.fns = append(in.fns, p.fns)
 		srcs = append(srcs, p.src)
 		in.seeds = append(in.seeds, p.seed)
+		classes = append(classes, p.class)
 	}
 	in.srcs = srcs
 	rng := rand.New(rand.NewSource(seed))
+	// Fresh requests are /sweeps over the golden matrix or /checks at
+	// trunk. Long programs cost the most, so a seed that drew the kind and
+	// configuration at random could change the run's cost. Instead the
+	// fresh requests of each length class walk in turn, from a seeded
+	// phase, through the /sweep cycle and through every optimizing level
+	// of both families, so every class holds each in its proportion. The
+	// tail starts both walks at their beginning, so its programs get the
+	// same kinds in every run.
+	var cfgs []pokeholes.Config
+	for _, fam := range []pokeholes.Family{pokeholes.GC, pokeholes.CL} {
+		for _, l := range pokeholes.OptLevels(fam) {
+			cfgs = append(cfgs, pokeholes.Config{Family: fam, Version: "trunk", Level: l})
+		}
+	}
+	type turn struct{ sweep, check int }
+	turns := make([]turn, len(lengthClasses))
+	for c := range turns {
+		if !isTail(c) {
+			turns[c] = turn{rng.Intn(max(mix.sweepEvery, 1)), rng.Intn(len(cfgs))}
+		}
+	}
 
 	// Each distinct request is built once; the stream points at it.
-	built := map[string]*request{}
 	build := func(prog int, sweep bool, cfg pokeholes.Config) *request {
-		key := fmt.Sprintf("check|%d|%s", prog, cfg)
-		if sweep {
-			key = fmt.Sprintf("sweep|%d", prog)
-		}
-		if r := built[key]; r != nil {
-			return r
-		}
-		r := &request{prog: prog, cfg: cfg, key: key, path: "/check"}
+		r := &request{prog: prog, cfg: cfg, key: fmt.Sprintf("check|%d|%s", prog, cfg), path: "/check"}
 		var v any = pokeholes.CheckRequest{Source: srcs[prog], Family: string(cfg.Family), Version: cfg.Version, Level: cfg.Level}
 		if sweep {
 			sr := goldenSweep
 			sr.Source = srcs[prog]
-			r.path, v = "/sweep", sr
+			r.path, r.key, v = "/sweep", fmt.Sprintf("sweep|%d", prog), sr
 		}
 		r.body, _ = json.Marshal(v) // plain structs of strings always marshal
 		if prog < in.goldens {
@@ -163,23 +187,21 @@ func makeServeInputs(seed int64, seconds int, mix serveMix) (*serveInputs, error
 				r.want = gwant[prog][1]
 			}
 		}
-		built[key] = r
 		return r
 	}
+	// fresh returns a request for the pool's next program, or nil once
+	// the pool is used up.
+	prog := in.goldens - 1
 	fresh := func() *request {
-		prog := rng.Intn(len(in.progs))
-		if rng.Float64() < serveSweepShare {
+		if prog++; prog == len(in.srcs) {
+			return nil
+		}
+		t := &turns[classes[prog-in.goldens]]
+		if t.sweep++; mix.sweepEvery > 0 && t.sweep%mix.sweepEvery == 0 {
 			return build(prog, true, pokeholes.Config{})
 		}
-		if prog < in.goldens {
-			return build(prog, false, pokeholes.Config{Family: pokeholes.GC, Version: "trunk", Level: "O2"})
-		}
-		fam := pokeholes.GC
-		if rng.Intn(2) == 1 {
-			fam = pokeholes.CL
-		}
-		levels := pokeholes.OptLevels(fam)
-		return build(prog, false, pokeholes.Config{Family: fam, Version: "trunk", Level: levels[rng.Intn(len(levels))]})
+		t.check++
+		return build(prog, false, cfgs[(t.check-1)%len(cfgs)])
 	}
 	// Every golden program is checked and swept early in the window.
 	var goldenReqs []*request
@@ -195,9 +217,13 @@ func makeServeInputs(seed int64, seconds int, mix serveMix) (*serveInputs, error
 		case i >= serveWarmup && (i-serveWarmup)%3 == 0 && (i-serveWarmup)/3 < len(goldenReqs):
 			r = goldenReqs[(i-serveWarmup)/3]
 		case len(distinct) > 0 && rng.Float64() < mix.repeatShare:
-			r = distinct[rng.Intn(len(distinct))]
+			recent := distinct[max(len(distinct)-serveRecent, 0):]
+			r = recent[rng.Intn(len(recent))]
 		default:
 			r = fresh()
+		}
+		if r == nil {
+			break
 		}
 		in.stream = append(in.stream, r)
 		in.repeat = append(in.repeat, seen[r])
@@ -219,9 +245,11 @@ type reply struct {
 	err    error
 }
 
-// drive sends stream[from:] closed-loop from the given clients until the
-// stream ends or, when deadline is non-zero, until the deadline passes.
-func drive(url string, clients []*http.Client, stream []*request, from, to int, deadline time.Time) []reply {
+// drive sends stream[from:to] closed-loop from the given clients until
+// the stream ends or ctx is done. A request still in flight when ctx ends
+// is cancelled and left out of the replies: it did not complete within
+// the window.
+func drive(ctx context.Context, url string, clients []*http.Client, stream []*request, from, to int) []reply {
 	var next atomic.Int64
 	next.Store(int64(from))
 	out := make([][]reply, len(clients))
@@ -231,20 +259,25 @@ func drive(url string, clients []*http.Client, stream []*request, from, to int, 
 		go func(c int, cl *http.Client) {
 			defer wg.Done()
 			for {
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					return
-				}
 				i := int(next.Add(1) - 1)
-				if i >= to {
+				if i >= to || ctx.Err() != nil {
 					return
 				}
 				t0 := time.Now()
 				rp := reply{idx: i}
-				resp, err := cl.Post(url+stream[i].path, "application/json", bytes.NewReader(stream[i].body))
+				req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+stream[i].path, bytes.NewReader(stream[i].body))
+				if err != nil {
+					panic(err) // the method and a loopback URL are always valid
+				}
+				req.Header.Set("Content-Type", "application/json")
+				resp, err := cl.Do(req)
 				if err == nil {
 					rp.status = resp.StatusCode
 					rp.body, err = io.ReadAll(resp.Body)
 					resp.Body.Close()
+				}
+				if ctx.Err() != nil {
+					return
 				}
 				rp.end = time.Now()
 				rp.lat, rp.err = rp.end.Sub(t0), err
@@ -260,60 +293,37 @@ func drive(url string, clients []*http.Client, stream []*request, from, to int, 
 	return all
 }
 
-// runServe returns the serve workload of one traffic mix.
-func runServe(mix serveMix) func(runConfig) *outcome {
-	return func(rc runConfig) *outcome { return serveRun(rc, mix) }
-}
-
+// serveRun runs one serve workload: set-up (inputs, engine, server,
+// warm-up), the timed window, then the output checks.
 func serveRun(rc runConfig, mix serveMix) *outcome {
 	o := &outcome{}
-	var in *serveInputs
-	var eng *pokeholes.Engine
-	var srv *pokeholes.Server
-	var ts *httptest.Server
-	var clients []*http.Client
-	var warm []reply
-	closeAll := func() {
-		for _, c := range clients {
-			c.CloseIdleConnections()
-		}
-		if ts != nil {
-			ts.Close()
-		}
+	in, err := makeServeInputs(rc.seed, rc.seconds, mix)
+	if err != nil {
+		o.fail(1, "serve inputs: %v", err)
+		o.attempted = 1
+		return o
 	}
-	defer closeAll()
-	for i := 0; i < setupRepeats; i++ {
-		closeAll()
-		t0 := time.Now()
-		if i == 0 {
-			t0 = processStart
-		}
-		var err error
-		in, err = makeServeInputs(rc.seed, rc.seconds, mix)
-		if err != nil {
-			o.fail(1, "serve inputs: %v", err)
-			o.attempted = 1
-			return o
-		}
-		eng = pokeholes.NewEngine(pokeholes.WithWorkers(rc.workers))
-		srv = eng.NewServer(pokeholes.ServeSpec{})
-		ts = httptest.NewServer(srv.Handler())
-		clients = make([]*http.Client, rc.workers)
-		for c := range clients {
-			clients[c] = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
-		}
-		warm = drive(ts.URL, clients, in.stream, 0, serveWarmup, time.Time{})
-		o.setups = append(o.setups, time.Since(t0))
+	eng := pokeholes.NewEngine(pokeholes.WithWorkers(rc.workers))
+	srv := eng.NewServer(pokeholes.ServeSpec{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	clients := make([]*http.Client, rc.workers)
+	for c := range clients {
+		clients[c] = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
+		defer clients[c].CloseIdleConnections()
 	}
+	warm := drive(context.Background(), ts.URL, clients, in.stream, 0, serveWarmup)
+	o.setup = time.Since(rc.start)
 
 	w := openWindow(srv, eng)
-	deadline := w.start.Add(time.Duration(rc.seconds) * time.Second)
-	timed := drive(ts.URL, clients, in.stream, serveWarmup, len(in.stream), deadline)
+	ctx, cancel := context.WithDeadline(context.Background(), w.start.Add(time.Duration(rc.seconds)*time.Second))
+	timed := drive(ctx, ts.URL, clients, in.stream, serveWarmup, len(in.stream))
+	cancel()
 	w.close(o, int64(len(timed)))
 	o.attempted = int64(len(timed))
 	for _, r := range timed {
 		o.lat = append(o.lat, r.lat)
-		o.marks = append(o.marks, mark{r.end.Sub(w.start), 1})
+		o.ends = append(o.ends, r.end.Sub(w.start))
 		if r.idx == len(in.stream)-1 {
 			o.note("WARN the request stream ran out before the window ended")
 		}
@@ -323,7 +333,7 @@ func serveRun(rc runConfig, mix serveMix) *outcome {
 	repeats, sweeps := 0, 0
 	requested := map[int]bool{}
 	withViol := map[int]bool{}
-	var progs []*minic.Program
+	var fns, lines float64
 	for _, r := range timed {
 		req := in.stream[r.idx]
 		if in.repeat[r.idx] {
@@ -334,14 +344,16 @@ func serveRun(rc runConfig, mix serveMix) *outcome {
 		}
 		if !requested[req.prog] {
 			requested[req.prog] = true
-			progs = append(progs, in.progs[req.prog])
+			fns += float64(in.fns[req.prog])
+			lines += float64(strings.Count(in.srcs[req.prog], "\n"))
 		}
 		if bytes.Contains(r.body, []byte(`"violations":[{`)) {
 			withViol[req.prog] = true
 		}
 	}
-	o.props = programProps(progs) + fmt.Sprintf(" share_with_violations=%.3f golden=%d requests=%d repeated_share=%.3f sweep_share=%.3f cells_per_request=1 (check) or %d (sweep) clients=%d",
-		ratio(float64(len(withViol)), float64(len(progs))), in.goldens, len(timed),
+	n := float64(len(requested))
+	o.props = fmt.Sprintf("programs=%d mean_functions=%.2f mean_source_lines=%.1f share_with_violations=%.3f golden=%d requests=%d repeated_share=%.3f sweep_share=%.3f cells_per_request=1 (check) or %d (sweep) clients=%d",
+		len(requested), ratio(fns, n), ratio(lines, n), ratio(float64(len(withViol)), n), in.goldens, len(timed),
 		ratio(float64(repeats), float64(len(timed))), ratio(float64(sweeps), float64(len(timed))),
 		len(goldenSweep.Versions)*len(goldenSweep.Levels), len(clients))
 	return o
@@ -436,7 +448,7 @@ func checkServe(o *outcome, rc runConfig, in *serveInputs, eng *pokeholes.Engine
 		cells = append(cells, cell{prog: prog, cfg: req.cfg, op: len(cells)})
 		cellKeys = append(cellKeys, k)
 	}
-	for i := range checkVM(context.Background(), o, func(pokeholes.Config) *pokeholes.Engine { return eng }, cells, vmObserve) {
+	for i := range checkVM(context.Background(), o, eng, cells, vmObserve) {
 		wrongKey[cellKeys[i]] = "vm disagrees with the interpreter"
 	}
 	for i, r := range timed {
