@@ -43,9 +43,6 @@ const (
 	// (pokeholes.DefaultResponseCache entries) still holds them, so a
 	// re-sent request exercises the cache's hit path, not its eviction.
 	serveRecent = 256
-	// serveRequestsPerSecond sizes the stream generously for the window's
-	// length.
-	serveRequestsPerSecond = 5000
 	// serveReferenceSample is how many distinct non-golden requests of
 	// the window are re-answered by the reference engine, drawn among the
 	// first serveReferenceWithin of them.
@@ -210,8 +207,8 @@ func makeServeInputs(seed int64, seconds int, mix serveMix) (*serveInputs, error
 	}
 	seen := map[*request]bool{}
 	var distinct []*request
-	n := serveWarmup + serveRequestsPerSecond*seconds
-	for i := 0; i < n; i++ {
+	// The stream ends where the pool does.
+	for i := 0; ; i++ {
 		var r *request
 		switch {
 		case i >= serveWarmup && (i-serveWarmup)%3 == 0 && (i-serveWarmup)/3 < len(goldenReqs):
