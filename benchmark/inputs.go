@@ -11,11 +11,11 @@ package main
 // programs of each length class, each class spread evenly over the
 // round, so any stretch of the pool holds each class's share to within
 // one program. The seed picks which programs, except in the tail: the
-// programs of tailLines lines or more (0.12% of what the generator makes)
-// are so few per window, and so costly, that which ones a seed drew would
-// decide the run's throughput. Every run takes them from one fixed
-// stream of fuzzer seeds and puts them at the same fractions of each
-// round.
+// programs of tailLines lines or more (6.5% of what the generator makes)
+// are the costliest requests of a window, and which ones a seed drew
+// would decide its throughput and p99 latency. Every run takes them from
+// one fixed stream of fuzzer seeds and puts them at the same fractions of
+// each round.
 
 import (
 	"math"
@@ -31,7 +31,7 @@ const (
 	// roundSize is the number of programs in a round.
 	roundSize = 2000
 	// tailLines is where the tail classes start.
-	tailLines = 301
+	tailLines = 81
 	// tailSeed is the first fuzzer seed of the tail's fixed stream.
 	tailSeed = 1 << 41
 )
@@ -44,7 +44,7 @@ const (
 var lengthClasses = []struct{ upper, perRound int }{
 	{21, 683}, {26, 316}, {31, 223}, {36, 166}, {41, 117}, {51, 161},
 	{61, 97}, {71, 65}, {81, 41}, {101, 52}, {126, 33}, {151, 19},
-	{176, 10}, {201, 6}, {251, 6}, {tailLines, 3}, {math.MaxInt, 2},
+	{176, 10}, {201, 6}, {251, 6}, {301, 3}, {math.MaxInt, 2},
 }
 
 // isTail reports whether length class c is in the tail.

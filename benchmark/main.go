@@ -128,22 +128,15 @@ func main() {
 // report prints a run's human-readable summary and returns its
 // end-to-end result.
 func report(name string, o *outcome) result {
-	var rates []float64
-	var p50s, p99s []time.Duration
-	fewest := len(o.lat)
-	for _, s := range o.slices() {
-		rates, p50s, p99s = append(rates, s.rate), append(p50s, s.p50), append(p99s, s.p99)
-		fewest = min(fewest, s.beyond)
-	}
+	p50, _ := percentile(o.lat, 0.50)
+	p99, beyond := percentile(o.lat, 0.99)
 	fmt.Printf("== %s: %d ops in %.2fs, %d attempted, %d failed\n", name, o.ops, o.window.Seconds(), o.attempted, o.failed)
 	fmt.Printf("inputs: %s\n", o.props)
 	for _, n := range o.notes {
 		fmt.Printf("check: %s\n", n)
 	}
-	fmt.Printf("per slice of the window (results are medians over the %d): ops/s %.1f p50_ms %.3f p99_ms %.1f\n",
-		windowSlices, rates, msAll(p50s), msAll(p99s))
-	fmt.Printf("latency: %d samples, at least %d beyond p99 in every slice", len(o.lat), fewest)
-	if fewest < 10 {
+	fmt.Printf("latency: %d samples, %d beyond p99", len(o.lat), beyond)
+	if beyond < 10 {
 		fmt.Printf(" (fewer than 10: p99 is not supported by this run)")
 	}
 	fmt.Println()
@@ -154,23 +147,15 @@ func report(name string, o *outcome) result {
 		Failed:    o.failed,
 		Metrics: map[string]metric{
 			"setup_s":        {o.setup.Seconds(), "s"},
-			"ops_per_s":      {median(rates), "1/s"},
-			"latency_p50_ms": {ms(median(p50s)), "ms"},
-			"latency_p99_ms": {ms(median(p99s)), "ms"},
+			"ops_per_s":      {ratio(float64(o.ops), o.window.Seconds()), "1/s"},
+			"latency_p50_ms": {ms(p50), "ms"},
+			"latency_p99_ms": {ms(p99), "ms"},
 			"peak_rss_mb":    {o.peakRSS, "MB"},
 		},
 	}
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-func msAll(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = ms(d)
-	}
-	return out
-}
 
 // layerMetrics converts the run's work counters to metrics.
 func (o *outcome) layerMetrics() map[string]metric {

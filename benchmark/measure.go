@@ -25,43 +25,10 @@ type outcome struct {
 	attempted int64           // ops attempted (completed plus failed)
 	failed    int64           // ops that errored, were refused or produced a wrong output
 	lat       []time.Duration // per-op latency as the caller sees it
-	ends      []time.Duration // each op's completion from the window start, parallel to lat
 	peakRSS   float64         // MB
 	layer     map[string]float64
 	props     string   // the input-property line
 	notes     []string // output-check results, one line each
-}
-
-// windowSlices is how many equal slices of the window the end-to-end
-// figures are taken over. Each figure is the median over the slices, so a
-// stretch of a few seconds in which the shared machine ran slowly moves
-// one slice, not the result. Every slice holds the inputs' length mix
-// (see inputs.go), so the slices measure the same work.
-const windowSlices = 3
-
-// slice is one slice of the window: its throughput and the latency
-// percentiles of the ops that completed in it.
-type slice struct {
-	rate     float64
-	p50, p99 time.Duration
-	beyond   int // samples above p99
-}
-
-// slices splits the window into windowSlices equal parts by the time each
-// op completed.
-func (o *outcome) slices() []slice {
-	lats := make([][]time.Duration, windowSlices)
-	for i, at := range o.ends {
-		s := min(int(int64(at)*windowSlices/int64(o.window+1)), windowSlices-1)
-		lats[s] = append(lats[s], o.lat[i])
-	}
-	out := make([]slice, windowSlices)
-	for s, l := range lats {
-		out[s].rate = float64(len(l)) / (o.window / windowSlices).Seconds()
-		out[s].p50, _ = percentile(l, 0.50)
-		out[s].p99, out[s].beyond = percentile(l, 0.99)
-	}
-	return out
 }
 
 // note records one check result line.
@@ -191,11 +158,4 @@ func percentile(samples []time.Duration, q float64) (time.Duration, int) {
 		rank = len(s) - 1
 	}
 	return s[rank], len(s) - 1 - rank
-}
-
-// median returns the middle value of xs; of an even count, the upper one.
-func median[T float64 | time.Duration](xs []T) T {
-	s := append([]T(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
 }

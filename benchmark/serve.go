@@ -238,7 +238,6 @@ type reply struct {
 	status int
 	body   []byte
 	lat    time.Duration
-	end    time.Time
 	err    error
 }
 
@@ -276,8 +275,7 @@ func drive(ctx context.Context, url string, clients []*http.Client, stream []*re
 				if ctx.Err() != nil {
 					return
 				}
-				rp.end = time.Now()
-				rp.lat, rp.err = rp.end.Sub(t0), err
+				rp.lat, rp.err = time.Since(t0), err
 				out[c] = append(out[c], rp)
 			}
 		}(c, cl)
@@ -320,7 +318,6 @@ func serveRun(rc runConfig, mix serveMix) *outcome {
 	o.attempted = int64(len(timed))
 	for _, r := range timed {
 		o.lat = append(o.lat, r.lat)
-		o.ends = append(o.ends, r.end.Sub(w.start))
 		if r.idx == len(in.stream)-1 {
 			o.note("WARN the request stream ran out before the window ended")
 		}
