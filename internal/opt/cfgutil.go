@@ -4,78 +4,179 @@ import (
 	"repro/internal/ir"
 )
 
-// This file provides CFG analyses shared by the passes: dominators, natural
-// loop detection, and small structural helpers.
+// This file provides CFG analyses shared by the passes: the dominator tree,
+// natural loop detection, and small structural helpers.
 
-// Dominators computes the immediate-dominator-closed dominator sets of fn
-// using the classic iterative dataflow formulation. The returned map gives,
-// for each block, the set of blocks that dominate it (including itself).
-func Dominators(fn *ir.Func) map[*ir.Block]map[*ir.Block]bool {
-	blocks := fn.Blocks
-	if len(blocks) == 0 {
-		return nil
+// DomTree is the dominator tree of one function's CFG, numbered for O(1)
+// dominance queries. Immediate dominators come from Cooper, Harvey and
+// Kennedy's "A Simple, Fast Dominance Algorithm" over the reachable blocks
+// in reverse postorder; a preorder walk of the tree then gives each block a
+// number pre and a subtree size, so a dominates b exactly when b's number
+// lies in a's subtree interval.
+//
+// Unreachable blocks follow the classic dataflow convention: every block of
+// the function vacuously dominates an unreachable block, an unreachable
+// block dominates no reachable one, and unreachable predecessors do not
+// constrain the blocks they branch to. A DomTree describes the CFG it was
+// built from; rebuild it after a pass changes branches or the block list.
+type DomTree struct {
+	// pre maps every block of the function to its dominator-tree preorder
+	// number, or -1 when the block is unreachable from the entry.
+	pre map[*ir.Block]int32
+	// size is the dominator subtree size, indexed by preorder number.
+	size []int32
+}
+
+// NewDomTree builds the dominator tree of fn.
+func NewDomTree(fn *ir.Func) *DomTree {
+	t := &DomTree{pre: make(map[*ir.Block]int32, len(fn.Blocks))}
+	if len(fn.Blocks) == 0 {
+		return t
 	}
-	entry := fn.Entry()
-	all := map[*ir.Block]bool{}
-	for _, b := range blocks {
-		all[b] = true
+	for _, b := range fn.Blocks {
+		t.pre[b] = -1
 	}
-	dom := map[*ir.Block]map[*ir.Block]bool{}
-	dom[entry] = map[*ir.Block]bool{entry: true}
-	for _, b := range blocks {
-		if b != entry {
-			s := map[*ir.Block]bool{}
-			for k := range all {
-				s[k] = true
+	// Postorder DFS from the entry over blocks of the function; pre holds
+	// -2 while a block is on the stack or done, so each is visited once.
+	type visit struct {
+		b    *ir.Block
+		next int
+	}
+	post := make([]*ir.Block, 0, len(fn.Blocks))
+	stack := []visit{{b: fn.Entry()}}
+	t.pre[fn.Entry()] = -2
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		succs := top.b.Succs()
+		if top.next < len(succs) {
+			s := succs[top.next]
+			top.next++
+			if p, ok := t.pre[s]; ok && p == -1 {
+				t.pre[s] = -2
+				stack = append(stack, visit{b: s})
 			}
-			dom[b] = s
+			continue
+		}
+		post = append(post, top.b)
+		stack = stack[:len(stack)-1]
+	}
+	// Reverse-postorder numbers, kept in pre until the tree is numbered:
+	// the entry is 0 and, outside back edges, every edge goes from a lower
+	// to a higher number.
+	n := len(post)
+	for i, b := range post {
+		t.pre[b] = int32(n - 1 - i)
+	}
+	// Predecessor lists in RPO numbers, in compressed-row form. Edges from
+	// unreachable blocks are left out.
+	start := make([]int32, n+1)
+	for _, b := range post {
+		for _, s := range b.Succs() {
+			if w, ok := t.pre[s]; ok && w >= 0 {
+				start[w+1]++
+			}
 		}
 	}
-	reach := fn.Reachable()
-	preds := fn.Preds()
-	changed := true
-	for changed {
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
+	}
+	preds := make([]int32, start[n])
+	fill := append([]int32(nil), start[:n]...)
+	for _, b := range post {
+		v := t.pre[b]
+		for _, s := range b.Succs() {
+			if w, ok := t.pre[s]; ok && w >= 0 {
+				preds[fill[w]] = v
+				fill[w]++
+			}
+		}
+	}
+	idom := make([]int32, n)
+	for i := range idom {
+		idom[i] = -1
+	}
+	idom[0] = 0
+	for changed := true; changed; {
 		changed = false
-		for _, b := range blocks {
-			if b == entry || !reach[b] {
-				// Unreachable blocks keep the full set: dominance over dead
-				// code is vacuous and this keeps the meet well-defined.
-				continue
-			}
-			var meet map[*ir.Block]bool
-			for _, p := range preds[b] {
-				if meet == nil {
-					meet = map[*ir.Block]bool{}
-					for k := range dom[p] {
-						meet[k] = true
+		for v := 1; v < n; v++ {
+			nd := int32(-1)
+			for _, p := range preds[start[v]:start[v+1]] {
+				if idom[p] < 0 {
+					continue // not yet processed
+				}
+				if nd < 0 {
+					nd = p
+					continue
+				}
+				// Walk both fingers up to their nearest common dominator.
+				a := p
+				for a != nd {
+					for a > nd {
+						a = idom[a]
 					}
-				} else {
-					for k := range meet {
-						if !dom[p][k] {
-							delete(meet, k)
-						}
+					for nd > a {
+						nd = idom[nd]
 					}
 				}
 			}
-			if meet == nil {
-				meet = map[*ir.Block]bool{}
-			}
-			meet[b] = true
-			if len(meet) != len(dom[b]) {
-				dom[b] = meet
+			if idom[v] != nd {
+				idom[v] = nd
 				changed = true
-				continue
-			}
-			for k := range meet {
-				if !dom[b][k] {
-					dom[b] = meet
-					changed = true
-					break
-				}
 			}
 		}
 	}
-	return dom
+	// Subtree sizes bottom-up (an immediate dominator precedes the blocks it
+	// dominates in RPO), then preorder numbers top-down: each child takes
+	// the next free interval inside its parent's.
+	size := make([]int32, n)
+	for v := n - 1; v > 0; v-- {
+		size[v]++
+		size[idom[v]] += size[v]
+	}
+	size[0]++
+	preOf := make([]int32, n)
+	free := make([]int32, n)
+	free[0] = 1
+	for v := 1; v < n; v++ {
+		p := idom[v]
+		preOf[v] = free[p]
+		free[p] += size[v]
+		free[v] = preOf[v] + 1
+	}
+	t.size = make([]int32, n)
+	for _, b := range post {
+		v := t.pre[b]
+		t.pre[b] = preOf[v]
+		t.size[preOf[v]] = size[v]
+	}
+	return t
+}
+
+// Dominates reports whether a dominates b; every block dominates itself.
+// Blocks outside the function dominate nothing and are dominated by
+// nothing.
+func (t *DomTree) Dominates(a, b *ir.Block) bool {
+	pb, ok := t.pre[b]
+	if !ok {
+		return false
+	}
+	pa, ok := t.pre[a]
+	switch {
+	case !ok:
+		return false
+	case pb < 0:
+		return true
+	case pa < 0:
+		return false
+	}
+	return pa <= pb && pb < pa+t.size[pa]
+}
+
+// reachable reports whether b is a block of the function reachable from
+// its entry.
+func (t *DomTree) reachable(b *ir.Block) bool {
+	p, ok := t.pre[b]
+	return ok && p >= 0
 }
 
 // Loop describes one natural loop.
@@ -89,20 +190,23 @@ type Loop struct {
 
 // FindLoops detects natural loops (back edges to a dominating header).
 // Loops sharing a header are merged. Only the reachable CFG is considered:
-// unreachable blocks carry the vacuous full dominator set, so without the
-// filter every edge out of one would read as a back edge.
+// every block vacuously dominates an unreachable one, so without the filter
+// every edge out of one would read as a back edge.
 func FindLoops(fn *ir.Func) []*Loop {
-	dom := Dominators(fn)
+	return findLoops(fn, NewDomTree(fn))
+}
+
+// findLoops is FindLoops over an already built dominator tree of fn.
+func findLoops(fn *ir.Func, dom *DomTree) []*Loop {
 	preds := fn.Preds()
-	reach := fn.Reachable()
 	byHeader := map[*ir.Block]*Loop{}
 	var order []*ir.Block
 	for _, b := range fn.Blocks {
-		if !reach[b] {
+		if !dom.reachable(b) {
 			continue
 		}
 		for _, s := range b.Succs() {
-			if dom[b][s] { // back edge b -> s
+			if dom.Dominates(s, b) { // back edge b -> s
 				l := byHeader[s]
 				if l == nil {
 					l = &Loop{Header: s, Latch: b, Blocks: map[*ir.Block]bool{s: true}}
@@ -121,7 +225,7 @@ func FindLoops(fn *ir.Func) []*Loop {
 					}
 					l.Blocks[x] = true
 					for _, p := range preds[x] {
-						if reach[p] {
+						if dom.reachable(p) {
 							stack = append(stack, p)
 						}
 					}

@@ -32,7 +32,7 @@ func ret(b *ir.Block) {
 //	b3: ret
 //	b4: br b1                  (unreachable, still a CFG predecessor of b1)
 //
-// and checks the dominator sets and the self-loop's natural loop.
+// and checks every dominance pair and the self-loop's natural loop.
 func TestDominatorsSelfLoopAndUnreachable(t *testing.T) {
 	f := &ir.Func{Name: "f", NTemp: 1}
 	b0 := f.NewBlock()
@@ -47,31 +47,30 @@ func TestDominatorsSelfLoopAndUnreachable(t *testing.T) {
 	ret(b3)
 	br(b4, b1)
 
-	dom := opt.Dominators(f)
+	dom := opt.NewDomTree(f)
 	want := map[*ir.Block][]*ir.Block{
 		b0: {b0},
 		b1: {b0, b1},
 		b2: {b0, b2},
 		b3: {b0, b1, b3},
+		// The unreachable block is vacuously dominated by every block.
+		b4: {b0, b1, b2, b3, b4},
 	}
 	names := map[*ir.Block]string{b0: "b0", b1: "b1", b2: "b2", b3: "b3", b4: "b4"}
 	for b, doms := range want {
-		if len(dom[b]) != len(doms) {
-			t.Errorf("%s: dominator set size %d, want %d", names[b], len(dom[b]), len(doms))
-		}
+		in := map[*ir.Block]bool{}
 		for _, d := range doms {
-			if !dom[b][d] {
-				t.Errorf("%s: missing dominator %s", names[b], names[d])
+			in[d] = true
+		}
+		for _, d := range f.Blocks {
+			if got := dom.Dominates(d, b); got != in[d] {
+				t.Errorf("Dominates(%s, %s) = %v, want %v", names[d], names[b], got, in[d])
 			}
 		}
 	}
-	// The unreachable block keeps the full (vacuous) set so the dataflow
-	// meet over its CFG successors stays well-defined.
-	if len(dom[b4]) != len(f.Blocks) {
-		t.Errorf("unreachable b4 has %d dominators, want all %d blocks", len(dom[b4]), len(f.Blocks))
-	}
-	// An unreachable predecessor must not leak into a reachable block's set.
-	if dom[b1][b4] {
+	// An unreachable predecessor must not leak into a reachable block's
+	// dominators.
+	if dom.Dominates(b4, b1) {
 		t.Error("b4 (unreachable) must not dominate b1")
 	}
 

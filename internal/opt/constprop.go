@@ -28,7 +28,7 @@ func (CCP) Run(fn *ir.Func, ctx *Context) bool {
 	changed := false
 	for {
 		defs := singleDefs(fn)
-		dom := Dominators(fn)
+		dom := NewDomTree(fn)
 		var foldTemp = -1
 		var foldVal ir.Value
 		var foldBlock *ir.Block
@@ -62,7 +62,9 @@ func (CCP) Run(fn *ir.Func, ctx *Context) bool {
 		// debugger-friendly level folds more carefully and only trips on
 		// the nested-loop shape of the original report.
 		loopDepth := 0
-		for _, l := range FindLoops(fn) {
+		// Folding rewrote operands only, so this iteration's tree still
+		// describes the CFG.
+		for _, l := range findLoops(fn, dom) {
 			if l.Blocks[foldBlock] {
 				loopDepth++
 			}

@@ -41,7 +41,8 @@ func (p Inline) RunModule(ctx *Context) bool {
 			continue
 		}
 		// Repeat until no more inlinable calls in f (new calls can appear
-		// from inlined bodies; recursion is rejected, so this terminates).
+		// from inlined bodies; recursive callees are rejected, so this
+		// terminates).
 		for p.inlineOneCall(ctx, f, max) {
 			changed = true
 		}
@@ -71,7 +72,10 @@ func (p Inline) inlineOneCall(ctx *Context, caller *ir.Func, max int) bool {
 			if callee == nil || callee.Opaque || callee.Name == caller.Name {
 				continue
 			}
-			if instrCount(callee) > max || callsInto(callee, caller.Name, ctx.Mod, map[string]bool{}) {
+			// A callee that reaches the caller, or itself, would bring the
+			// call back with its body and never stop inlining.
+			if instrCount(callee) > max || callsInto(callee, caller.Name, ctx.Mod, map[string]bool{}) ||
+				callsInto(callee, callee.Name, ctx.Mod, map[string]bool{}) {
 				continue
 			}
 			p.doInline(ctx, caller, b, i, callee)

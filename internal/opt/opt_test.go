@@ -553,10 +553,10 @@ int main(void) {
   return s;
 }`)
 	f := m.Func("main")
-	dom := Dominators(f)
+	dom := NewDomTree(f)
 	entry := f.Entry()
 	for _, b := range f.Blocks {
-		if !dom[b][entry] {
+		if !dom.Dominates(entry, b) {
 			t.Errorf("entry does not dominate b%d", b.ID)
 		}
 	}
@@ -566,6 +566,30 @@ int main(void) {
 	}
 	if len(loops[0].Exits) != 1 {
 		t.Errorf("loop exits = %d, want 1", len(loops[0].Exits))
+	}
+}
+
+// TestInlineSkipsRecursiveCallee inlines into main a callee that calls
+// itself: each inlined body would bring the call back, so the inliner must
+// leave it alone and terminate.
+func TestInlineSkipsRecursiveCallee(t *testing.T) {
+	m := lowerSrc(t, `
+int f(int n) {
+  if (n < 1) { return 0; }
+  return f(n - 1) + 1;
+}
+int main(void) { return f(3); }`)
+	stats := map[string]int{}
+	RunPipeline(m, []Pass{Inline{}}, Options{BisectLimit: -1, Stats: stats})
+	if n := stats["inline.inlined"]; n != 0 {
+		t.Errorf("inlined %d calls to a recursive callee, want 0", n)
+	}
+	obs, err := ir.Interp(m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obs.Ret != 3 {
+		t.Errorf("ret = %d, want 3", obs.Ret)
 	}
 }
 

@@ -8,6 +8,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/asm"
@@ -47,6 +48,10 @@ type Machine struct {
 // ErrStepLimit is returned when execution exceeds the step budget.
 var ErrStepLimit = fmt.Errorf("vm: step limit exceeded")
 
+// ErrStackOverflow is returned when a call's frame would not fit in the
+// machine's memory.
+var ErrStackOverflow = errors.New("vm: stack overflow")
+
 // DefaultMaxStep is the step budget of a fresh machine. Callers may set
 // Machine.MaxStep before running to raise or lower it.
 const DefaultMaxStep = 4_000_000
@@ -72,12 +77,17 @@ func New(prog *asm.Program) (*Machine, error) {
 	if mainFn == nil {
 		return nil, fmt.Errorf("vm: no main")
 	}
-	m.pushFrame(mainFn, nil, -1, -1)
+	if err := m.pushFrame(mainFn, nil, -1, -1); err != nil {
+		return nil, err
+	}
 	m.PC = mainFn.Entry
 	return m, nil
 }
 
-func (m *Machine) pushFrame(f *asm.Func, args []int64, retPC, retReg int) *Frame {
+// pushFrame activates f with the given arguments. Like the IR
+// interpreter, it fails with ErrStackOverflow when the frame would reach
+// the end of memory.
+func (m *Machine) pushFrame(f *asm.Func, args []int64, retPC, retReg int) error {
 	fr := &Frame{Fn: f, Regs: make([]int64, f.NTemp), Base: m.sp, RetPC: retPC, RetReg: retReg}
 	off := int64(0)
 	fr.SlotOff = make([]int64, len(f.Slots))
@@ -85,7 +95,10 @@ func (m *Machine) pushFrame(f *asm.Func, args []int64, retPC, retReg int) *Frame
 		fr.SlotOff[i] = fr.Base + off
 		off += int64(size)
 	}
-	for i := fr.Base; i < fr.Base+off && i < int64(len(m.Mem)); i++ {
+	if fr.Base+off >= int64(len(m.Mem)) {
+		return fmt.Errorf("%w in %s", ErrStackOverflow, f.Name)
+	}
+	for i := fr.Base; i < fr.Base+off; i++ {
 		m.Mem[i] = 0
 	}
 	m.sp = fr.Base + off
@@ -97,7 +110,7 @@ func (m *Machine) pushFrame(f *asm.Func, args []int64, retPC, retReg int) *Frame
 		}
 	}
 	m.Frames = append(m.Frames, fr)
-	return fr
+	return nil
 }
 
 // Frame returns the current activation record, or nil when halted.
@@ -316,7 +329,9 @@ func (m *Machine) Step() error {
 				fr.Regs[in.Rd] = 0
 			}
 		} else {
-			m.pushFrame(callee, args, next, in.Rd)
+			if err := m.pushFrame(callee, args, next, in.Rd); err != nil {
+				return err
+			}
 			next = callee.Entry
 		}
 	case asm.OpJmp:

@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/codegen"
@@ -144,6 +146,20 @@ func TestStepLimit(t *testing.T) {
 	mach.MaxStep = 500
 	if err := mach.Run(); err != ErrStepLimit {
 		t.Errorf("err = %v, want ErrStepLimit", err)
+	}
+}
+
+// TestStackOverflow runs unbounded recursion: the machine must stop with
+// ErrStackOverflow, as the IR interpreter does, instead of writing past the
+// end of memory.
+func TestStackOverflow(t *testing.T) {
+	m, mach := build(t, `int f(int n) { return f(n + 1); } int main(void) { return f(0); }`)
+	err := mach.Run()
+	if !errors.Is(err, ErrStackOverflow) {
+		t.Fatalf("err = %v, want ErrStackOverflow", err)
+	}
+	if _, ierr := ir.Interp(m, 0); ierr == nil || !strings.Contains(ierr.Error(), "stack overflow") {
+		t.Errorf("interpreter err = %v, want a stack overflow", ierr)
 	}
 }
 

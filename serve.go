@@ -49,6 +49,14 @@ const (
 	DefaultShutdownGrace = 10 * time.Second
 )
 
+// Connection deadlines of the HTTP server. The admission gates count
+// handlers, so a client that never finishes its request header, or holds
+// an idle keep-alive connection open, is bounded here instead.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
 // ServeSpec configures one serving session over an engine.
 type ServeSpec struct {
 	// Addr is the TCP listen address (e.g. ":8080"). Ignored when
@@ -1046,7 +1054,8 @@ func (e *Engine) Serve(ctx context.Context, spec ServeSpec) error {
 		close(huntDone)
 	}
 
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 

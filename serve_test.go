@@ -383,3 +383,64 @@ func TestServeShutdownNoGoroutineLeak(t *testing.T) {
 	client.CloseIdleConnections()
 	waitGoroutinesDrained(t, before)
 }
+
+// TestServeStalledHeaderDisconnected opens a raw connection to a running
+// Serve, sends half a request header and stalls: the server must drop the
+// connection on its header deadline instead of holding it forever.
+func TestServeStalledHeaderDisconnected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	eng := pokeholes.NewEngine(pokeholes.WithWorkers(1))
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- eng.Serve(ctx, pokeholes.ServeSpec{Listener: ln}) }()
+	defer func() {
+		cancel()
+		if err := <-serveErr; err != nil {
+			t.Errorf("Serve returned %v, want nil", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /check HTTP/1.1\r\nHost: localhost\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// Far beyond the server's header deadline: timing out here means the
+	// server never closed the connection.
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	n, err := io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("stalled connection still open after 30s")
+	}
+	if n != 0 {
+		t.Errorf("server answered a request whose header never completed (%d bytes)", n)
+	}
+}
+
+// TestServeStackOverflowAnswers checks a program that recurses without
+// bound: /check must answer with an error naming the overflow, and the
+// server must keep serving afterwards.
+func TestServeStackOverflowAnswers(t *testing.T) {
+	eng := pokeholes.NewEngine(pokeholes.WithWorkers(2))
+	ts := httptest.NewServer(eng.NewServer(pokeholes.ServeSpec{}).Handler())
+	defer ts.Close()
+	client := ts.Client()
+	defer client.CloseIdleConnections()
+
+	src := "int f(int n) { return f(n + 1); }\nint main(void) { return f(0); }\n"
+	status, out := servePost(t, client, ts.URL+"/check", checkBody(src))
+	if status == http.StatusOK || !strings.Contains(string(out), "stack overflow") {
+		t.Errorf("recursive /check = %d %s, want an error naming the stack overflow", status, out)
+	}
+	status, out = servePost(t, client, ts.URL+"/check",
+		checkBody(pokeholes.Render(pokeholes.GenerateProgram(3))))
+	if status != http.StatusOK {
+		t.Errorf("follow-up /check status %d: %s", status, out)
+	}
+}
