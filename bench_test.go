@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro"
@@ -117,6 +118,7 @@ func BenchmarkFigure4(b *testing.B) {
 // The engine's cache is disabled so every iteration is a cold run.
 func BenchmarkPipelinePerProgram(b *testing.B) {
 	eng := pokeholes.NewEngine(pokeholes.WithCompileCache(0))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		prog := pokeholes.GenerateProgram(int64(i))
 		if _, err := eng.Check(context.Background(), prog, pokeholes.Config{Family: pokeholes.GC, Version: "trunk", Level: "O2"}); err != nil {
@@ -146,11 +148,44 @@ func BenchmarkTraceOnly(b *testing.B) {
 		b.Fatal(err)
 	}
 	dbg := pokeholes.NativeDebugger(pokeholes.CL)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pokeholes.RecordTrace(exe, dbg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestTraceAllocCeiling gates the bytes one debugger session over
+// BenchmarkTraceOnly's binary allocates. The VM takes its memory from a
+// pool, so a session costs ~10 KB; allocating a fresh 655 KB machine
+// memory per run would cost ~663 KB.
+func TestTraceAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	prog := pokeholes.GenerateProgram(7)
+	exe, err := pokeholes.NewEngine().Compile(context.Background(), prog, pokeholes.Config{Family: pokeholes.CL, Version: "trunk", Level: "O3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbg := pokeholes.NativeDebugger(pokeholes.CL)
+	record := func() {
+		if _, err := pokeholes.RecordTrace(exe, dbg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	record() // fills the pool and the executable's lazily decoded debug info
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		record()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 64<<10 {
+		t.Errorf("one trace allocates %d bytes, want at most %d", per, 64<<10)
 	}
 }
 

@@ -9,6 +9,7 @@ package cache
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -136,12 +137,22 @@ func (c *Cache[K, V]) GetOrComputeCtx(ctx context.Context, key K, fn func() (V, 
 		c.inflight[key] = fl
 		c.mu.Unlock()
 
-		fl.val, fl.err = fn()
-		// Only the leader's own cancellation marks the flight abandoned: a
-		// compute that failed for a real reason while the leader stayed
-		// live must propagate, not be retried by every waiter in turn.
-		fl.abandoned = fl.err != nil && ctx.Err() != nil
+		c.lead(ctx, key, fl, fn)
+		return fl.val, fl.err
+	}
+}
 
+// errPanicked is what coalesced waiters receive when the leader's compute
+// panicked; the panic itself continues up the leader's stack.
+var errPanicked = errors.New("cache: computation panicked")
+
+// lead runs fn for the flight fl registered under key and publishes the
+// result. The flight is settled even when fn panics, so a later call for
+// the key computes afresh instead of waiting on a flight that never
+// finishes.
+func (c *Cache[K, V]) lead(ctx context.Context, key K, fl *flight[V], fn func() (V, error)) {
+	fl.err = errPanicked // stands only if fn never returns
+	defer func() {
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if fl.err == nil {
@@ -149,8 +160,12 @@ func (c *Cache[K, V]) GetOrComputeCtx(ctx context.Context, key K, fn func() (V, 
 		}
 		c.mu.Unlock()
 		close(fl.done)
-		return fl.val, fl.err
-	}
+	}()
+	fl.val, fl.err = fn()
+	// Only the leader's own cancellation marks the flight abandoned: a
+	// compute that failed for a real reason while the leader stayed live
+	// must propagate, not be retried by every waiter in turn.
+	fl.abandoned = fl.err != nil && ctx.Err() != nil
 }
 
 // Add stores a value, evicting the least recently used entry if needed.

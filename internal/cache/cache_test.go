@@ -270,3 +270,63 @@ func TestUnboundedCapacity(t *testing.T) {
 		t.Errorf("len = %d, want 100", c.Len())
 	}
 }
+
+// TestPanickingComputeSettlesFlight: a compute that panics must not leave
+// its key in flight. A waiter coalesced onto it fails instead of blocking,
+// the panic reaches the leader unchanged, and the next call for the key
+// runs its compute again.
+func TestPanickingComputeSettlesFlight(t *testing.T) {
+	c := New[string, int](0)
+	release := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		c.GetOrCompute("k", func() (int, error) {
+			<-release
+			panic("boom")
+		})
+	}()
+	waiterErr := make(chan error, 1)
+	go func() {
+		for {
+			if _, misses := c.Stats(); misses == 1 {
+				break // the leader's flight is registered
+			}
+			time.Sleep(time.Millisecond)
+		}
+		_, err := c.GetOrCompute("k", func() (int, error) { return 0, errors.New("waiter computed") })
+		waiterErr <- err
+	}()
+	for hits, _ := c.Stats(); hits == 0; hits, _ = c.Stats() {
+		time.Sleep(time.Millisecond) // until the waiter has coalesced
+	}
+	close(release)
+
+	if r := <-leaderPanic; r != "boom" {
+		t.Errorf("leader recovered %v, want the compute's own panic", r)
+	}
+	select {
+	case err := <-waiterErr:
+		if !errors.Is(err, errPanicked) {
+			t.Errorf("waiter err = %v, want errPanicked", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter blocked on the panicked flight")
+	}
+
+	done := make(chan struct{})
+	var v, runs int
+	var err error
+	go func() {
+		defer close(done)
+		v, err = c.GetOrCompute("k", func() (int, error) { runs++; return 7, nil })
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("call after the panic blocked on the dead flight")
+	}
+	if v != 7 || err != nil || runs != 1 {
+		t.Errorf("after the panic: v=%d err=%v runs=%d, want 7, nil, 1", v, err, runs)
+	}
+}

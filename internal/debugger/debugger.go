@@ -94,6 +94,8 @@ type Debugger interface {
 	// Name identifies the engine ("gdb" or "lldb").
 	Name() string
 	// Inspect builds the stop presentation for the machine's current pc.
+	// The Stop must not refer to the machine: a Recorder releases the
+	// machine's memory when its run ends.
 	Inspect(exe *object.Executable, m *vm.Machine) (*Stop, error)
 }
 

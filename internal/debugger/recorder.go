@@ -81,6 +81,9 @@ func (r *Recorder) Run() (*MultiTrace, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every stop copies what it reads out of the machine, so its memory
+	// goes back to the pool when the run ends.
+	defer m.Release()
 	if r.opts.StepBudget > 0 {
 		m.MaxStep = r.opts.StepBudget
 	}

@@ -12,14 +12,11 @@ import (
 // be identical before and after any optimization pipeline. The VM executing
 // generated machine code must agree too.
 
-// Layout constants shared with the code generator and VM.
+// Layout constants shared with the code generator and VM (see minic).
 const (
-	// GlobalBase is the address of the first global (0 is the null page).
-	GlobalBase = 16
-	// StackBase is where the first stack frame is allocated.
-	StackBase = 1 << 16
-	// MemWords is the total simulated memory size in words.
-	MemWords = 1<<16 + 1<<14
+	GlobalBase = minic.GlobalBase
+	StackBase  = minic.StackBase
+	MemWords   = minic.MemWords
 )
 
 // Event is one externally observable action.
@@ -58,9 +55,13 @@ func Interp(m *Module, maxSteps int) (*Observation, error) {
 	}
 	addr := int64(GlobalBase)
 	for _, g := range m.Globals {
+		end := addr + int64(g.Size)
+		if g.Size < 0 || end > MemWords {
+			return nil, fmt.Errorf("ir: global %s does not fit in memory", g.Name)
+		}
 		ip.gbase[g] = addr
-		copy(ip.mem[addr:], g.Init)
-		addr += int64(g.Size)
+		copy(ip.mem[addr:end], g.Init)
+		addr = end
 	}
 	mainFn := m.Func("main")
 	if mainFn == nil || mainFn.Opaque {
@@ -298,6 +299,9 @@ func (o *Observation) Equal(other *Observation) bool {
 				return false
 			}
 		}
+	}
+	if len(o.Globals) != len(other.Globals) {
+		return false
 	}
 	for name, vals := range o.Globals {
 		ovals, ok := other.Globals[name]

@@ -308,6 +308,11 @@ func TestObservationEqual(t *testing.T) {
 	if a.Equal(b) {
 		t.Error("different memory reported equal")
 	}
+	b.Globals["g"][1] = 2
+	b.Globals["h"] = []int64{0}
+	if a.Equal(b) || b.Equal(a) {
+		t.Errorf("an extra global went unnoticed: a.Equal(b)=%v b.Equal(a)=%v", a.Equal(b), b.Equal(a))
+	}
 }
 
 func TestDbgValPresenceAtO0(t *testing.T) {

@@ -9,9 +9,17 @@ import (
 // It returns the first error found, or nil.
 func Check(prog *Program) error {
 	c := &checker{prog: prog, globals: map[string]*GlobalDecl{}, funcs: map[string]*FuncDecl{}}
+	end := GlobalBase
 	for _, g := range prog.Globals {
 		if c.globals[g.Name] != nil {
 			return fmt.Errorf("minic: line %d: duplicate global %q", g.Line, g.Name)
+		}
+		size, ok := wordSize(g.Type)
+		if !ok {
+			return tooLarge(g.Name, g.Line)
+		}
+		if end += size; end > StackBase {
+			return fmt.Errorf("minic: line %d: globals exceed the %d-word global area", g.Line, StackBase-GlobalBase)
 		}
 		if err := checkInit(g.Type, g.Init, g.Line); err != nil {
 			return err
@@ -33,6 +41,10 @@ func Check(prog *Program) error {
 		}
 	}
 	return nil
+}
+
+func tooLarge(name string, line int) error {
+	return fmt.Errorf("minic: line %d: %q does not fit in the %d-word machine memory", line, name, MemWords)
 }
 
 func checkInit(t Type, iv *InitValue, line int) error {
@@ -118,6 +130,9 @@ func (c *checker) declare(name string, t Type, line int) error {
 	top := c.scopes[len(c.scopes)-1]
 	if top[name] != nil {
 		return fmt.Errorf("minic: line %d: duplicate local %q", line, name)
+	}
+	if _, ok := wordSize(t); !ok {
+		return tooLarge(name, line)
 	}
 	top[name] = t
 	return nil

@@ -159,6 +159,12 @@ func TestCheckerRejects(t *testing.T) {
 		{"addr of literal", "int main(void) { int* p; p = &3; return 0; }"},
 		{"return in void", "void f(void) { return 3; } int main(void) { return 0; }"},
 		{"wrong argc", "void f(int a) { } int main(void) { f(1, 2); return 0; }"},
+		{"array overflows int", "int g[9223372036854775807]; int main(void) { return g[0]; }"},
+		{"negative array length", "int g[18446744073709551615]; int main(void) { return 0; }"},
+		{"array of arrays overflows int", "int g[4294967296][4294967296]; int main(void) { return 0; }"},
+		{"local array past memory", "int main(void) { int a[100000]; a[0] = 1; return a[0]; }"},
+		{"globals past memory", "int a[50000]; int b[50000]; int c[50000]; int main(void) { return a[0] + b[0] + c[0]; }"},
+		{"globals into the stack", "int g[65521]; int main(void) { return g[0]; }"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -170,6 +176,25 @@ func TestCheckerRejects(t *testing.T) {
 				t.Errorf("Check accepted invalid program %q", tc.src)
 			}
 		})
+	}
+}
+
+// TestCheckerAcceptsArraysThatFit is the boundary of the oversized-array
+// cases of TestCheckerRejects: globals that exactly fill the global area,
+// and a local array of all of memory (a run-time stack overflow, not a
+// type error).
+func TestCheckerAcceptsArraysThatFit(t *testing.T) {
+	for _, src := range []string{
+		"int g[65520]; int main(void) { return g[0]; }",
+		"int main(void) { int a[81920]; return 0; }",
+	} {
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		if err := Check(prog); err != nil {
+			t.Errorf("Check rejected %q: %v", src, err)
+		}
 	}
 }
 

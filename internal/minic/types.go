@@ -14,6 +14,19 @@ import (
 	"strings"
 )
 
+// Machine memory layout in words, shared by the IR interpreter, the code
+// generator and the VM. The checker rejects arrays and globals that do not
+// fit in it.
+const (
+	// GlobalBase is the address of the first global (0 is the null page).
+	GlobalBase = 16
+	// StackBase is where the first stack frame is allocated. The globals
+	// live in [GlobalBase, StackBase).
+	StackBase = 1 << 16
+	// MemWords is the total simulated memory size in words.
+	MemWords = 1<<16 + 1<<14
+)
+
 // Type is the interface implemented by all MiniC types.
 type Type interface {
 	// String renders the type in MiniC source syntax.
@@ -117,6 +130,21 @@ func (t *ArrayType) String() string {
 }
 
 func (t *ArrayType) Size() int { return t.Len * t.Elem.Size() }
+
+// wordSize is Size for a type that fits in MemWords words; it reports
+// false for any other type. Unlike Size it cannot overflow, so it is safe
+// on any parsed array length.
+func wordSize(t Type) (int, bool) {
+	at, ok := t.(*ArrayType)
+	if !ok {
+		return t.Size(), true
+	}
+	elem, ok := wordSize(at.Elem)
+	if !ok || at.Len < 0 || (elem > 0 && at.Len > MemWords/elem) {
+		return 0, false
+	}
+	return at.Len * elem, true
+}
 
 func (t *VoidType) String() string { return "void" }
 func (t *VoidType) Size() int      { return 0 }

@@ -10,6 +10,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/asm"
 	"repro/internal/ir"
@@ -43,7 +44,18 @@ type Machine struct {
 	gbase map[string]int64
 	sp    int64
 	bps   map[int]bool
+
+	// lowHi is one past the highest word written below ir.StackBase and
+	// stackHi one past the highest word written at or above it: Release
+	// clears only Mem[:lowHi] and Mem[ir.StackBase:stackHi].
+	lowHi, stackHi int64
 }
+
+// memPool holds zeroed machine memories for reuse across runs. A run
+// touches a few hundred words of its 655 KB memory, so Release clears
+// only the words the run wrote instead of every machine allocating and
+// zeroing a fresh one.
+var memPool = sync.Pool{New: func() any { return make([]int64, ir.MemWords) }}
 
 // ErrStepLimit is returned when execution exceeds the step budget.
 var ErrStepLimit = fmt.Errorf("vm: step limit exceeded")
@@ -57,31 +69,65 @@ var ErrStackOverflow = errors.New("vm: stack overflow")
 const DefaultMaxStep = 4_000_000
 
 // New loads prog and prepares a machine stopped before main's first
-// instruction.
+// instruction. The machine's memory comes from a pool; call Release once
+// the machine's state is no longer read to return it, or let the garbage
+// collector take it.
 func New(prog *asm.Program) (*Machine, error) {
-	m := &Machine{
-		Prog:    prog,
-		Mem:     make([]int64, ir.MemWords),
-		gbase:   map[string]int64{},
-		sp:      ir.StackBase,
-		bps:     map[int]bool{},
-		MaxStep: DefaultMaxStep,
-	}
-	addr := int64(ir.GlobalBase)
-	for _, g := range prog.Globals {
-		m.gbase[g.Name] = addr
-		copy(m.Mem[addr:], g.Init)
-		addr += int64(g.Size)
-	}
 	mainFn := prog.Func("main")
 	if mainFn == nil {
 		return nil, fmt.Errorf("vm: no main")
 	}
+	m := &Machine{
+		Prog:    prog,
+		Mem:     memPool.Get().([]int64),
+		gbase:   map[string]int64{},
+		sp:      ir.StackBase,
+		bps:     map[int]bool{},
+		MaxStep: DefaultMaxStep,
+		stackHi: ir.StackBase,
+	}
+	addr := int64(ir.GlobalBase)
+	for _, g := range prog.Globals {
+		end := addr + int64(g.Size)
+		if g.Size < 0 || end > ir.MemWords {
+			m.Release()
+			return nil, fmt.Errorf("vm: global %s does not fit in memory", g.Name)
+		}
+		m.gbase[g.Name] = addr
+		copy(m.Mem[addr:end], g.Init)
+		addr = end
+	}
+	m.lowHi = addr
 	if err := m.pushFrame(mainFn, nil, -1, -1); err != nil {
+		m.Release()
 		return nil, err
 	}
 	m.PC = mainFn.Entry
 	return m, nil
+}
+
+// Release clears the words the run wrote and returns the machine's
+// memory to the pool. The machine must not be used afterwards: Mem is
+// nil, so a late read panics instead of seeing another run's memory.
+// Release is idempotent.
+func (m *Machine) Release() {
+	if m.Mem == nil {
+		return
+	}
+	clear(m.Mem[:m.lowHi])
+	clear(m.Mem[ir.StackBase:m.stackHi])
+	memPool.Put(m.Mem)
+	m.Mem = nil
+}
+
+// store writes v at a, raising the high-water mark that covers a.
+func (m *Machine) store(a, v int64) {
+	m.Mem[a] = v
+	if a < ir.StackBase {
+		m.lowHi = max(m.lowHi, a+1)
+	} else {
+		m.stackHi = max(m.stackHi, a+1)
+	}
 }
 
 // pushFrame activates f with the given arguments. Like the IR
@@ -95,13 +141,12 @@ func (m *Machine) pushFrame(f *asm.Func, args []int64, retPC, retReg int) error 
 		fr.SlotOff[i] = fr.Base + off
 		off += int64(size)
 	}
-	if fr.Base+off >= int64(len(m.Mem)) {
+	if off < 0 || fr.Base+off >= ir.MemWords {
 		return fmt.Errorf("%w in %s", ErrStackOverflow, f.Name)
 	}
-	for i := fr.Base; i < fr.Base+off; i++ {
-		m.Mem[i] = 0
-	}
+	clear(m.Mem[fr.Base : fr.Base+off])
 	m.sp = fr.Base + off
+	m.stackHi = max(m.stackHi, m.sp)
 	// Arguments are materialised in the function's parameter slots, which
 	// are by construction the first slots of the frame (one per parameter).
 	for i, a := range args {
@@ -209,7 +254,7 @@ func (m *Machine) val(o asm.Operand) int64 {
 }
 
 func (m *Machine) checkAddr(a int64) error {
-	if a < 0 || a >= int64(len(m.Mem)) {
+	if a < 0 || a >= ir.MemWords {
 		return fmt.Errorf("vm: address out of range: %d", a)
 	}
 	return nil
@@ -274,7 +319,7 @@ func (m *Machine) Step() error {
 		if in.Width != nil {
 			v = in.Width.Truncate(v)
 		}
-		m.Mem[a] = v
+		m.store(a, v)
 		if g := m.findGlobal(in.Global); g != nil && g.Volatile {
 			m.Events = append(m.Events, Event{Kind: "vstore", Name: g.Name, Args: []int64{v}})
 		}
@@ -293,7 +338,7 @@ func (m *Machine) Step() error {
 		if in.Width != nil {
 			v = in.Width.Truncate(v)
 		}
-		m.Mem[a] = v
+		m.store(a, v)
 	case asm.OpAddrG:
 		fr.Regs[in.Rd] = m.gbase[in.Global] + m.val(in.Src)
 	case asm.OpAddrSlot:
@@ -314,7 +359,7 @@ func (m *Machine) Step() error {
 		if in.Width != nil {
 			v = in.Width.Truncate(v)
 		}
-		m.Mem[a] = v
+		m.store(a, v)
 		m.noteVolatile(a, "vstore", v)
 	case asm.OpCall:
 		args := make([]int64, len(in.Args))
@@ -381,14 +426,20 @@ func Observe(prog *asm.Program) (*ir.Observation, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Release()
 	if err := m.Run(); err != nil {
 		return nil, err
 	}
+	return m.observation(), nil
+}
+
+// observation copies the machine's observable behaviour out of it.
+func (m *Machine) observation() *ir.Observation {
 	obs := &ir.Observation{Events: m.Events, Ret: m.Exit,
 		Globals: map[string][]int64{}, Steps: m.Steps}
-	for _, g := range prog.Globals {
+	for _, g := range m.Prog.Globals {
 		base := m.gbase[g.Name]
 		obs.Globals[g.Name] = append([]int64(nil), m.Mem[base:base+int64(g.Size)]...)
 	}
-	return obs, nil
+	return obs
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/codegen"
 	"repro/internal/ir"
 	"repro/internal/minic"
@@ -68,12 +69,15 @@ int main(void) {
 		if err := mach.Run(); err != nil {
 			t.Fatalf("vm: %v", err)
 		}
+		if ran := mach.observation(); !ref.Equal(ran) {
+			t.Errorf("Run diverges from interpreter for:\n%s\nref=%+v\ngot=%+v", src, ref, ran)
+		}
 		got, err := Observe(mach.Prog)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ref.Equal(got) {
-			t.Errorf("vm diverges from interpreter for:\n%s\nref=%+v\ngot=%+v", src, ref, got)
+			t.Errorf("Observe diverges from interpreter for:\n%s\nref=%+v\ngot=%+v", src, ref, got)
 		}
 	}
 }
@@ -220,5 +224,109 @@ int main(void) {
 	sentinel := fmt.Errorf("sentinel")
 	if err := mach2.ForEachStop(func() error { return sentinel }); err != sentinel {
 		t.Errorf("err = %v, want the sentinel error", err)
+	}
+}
+
+// reuseWriter is a program that leaves words written all over memory: a
+// global, a deep recursion's frames, and pointer stores into the gap
+// between the globals and the stack and above the stack top. %s is one
+// more store, the highest of its region, made by the opcode under test.
+const reuseWriter = `
+int g;
+int pad[4];
+int f(int n) {
+  int loc[8];
+  loc[n & 7] = n + 1;
+  if (n == 0) { return loc[0]; }
+  return f(n - 1) + loc[n & 7];
+}
+int main(void) {
+  int a[2];
+  int *p = &g;
+  g = 5;
+  *(p + 30000) = 7;
+  *(p + 72000) = 8;
+  a[0] = f(60);
+  %s
+  return a[0];
+}`
+
+// reuseReader reads every word of memory outside the null page and its
+// own frame, reporting each non-zero one. On fresh memory it reports
+// none.
+const reuseReader = `
+int g;
+int pad[4];
+extern void dirty(int off);
+int main(void) {
+  int *p = &g;
+  int i;
+  int n = 0;
+  for (i = 0; i < 65520; i = i + 1) {
+    if (*(p + i) != 0) { dirty(i); n = n + 1; }
+  }
+  for (i = 65536; i < 81904; i = i + 1) {
+    if (*(p + i) != 0) { dirty(i); n = n + 1; }
+  }
+  return n;
+}`
+
+// TestMachineReuseStartsZeroed is the oracle for pooled machine memory:
+// after a released run, every word the run wrote is zero again, and the
+// next program on reused memory behaves as the interpreter does on fresh
+// memory. Each case's last store is the highest of its region, so
+// dropping the high-water update of any one store opcode leaves a word
+// dirty.
+func TestMachineReuseStartsZeroed(t *testing.T) {
+	for _, tc := range []struct{ name, store string }{
+		{"storeg", "pad[65000] = 9;"},     // highest word below the stack
+		{"storeslot", "a[12000] = 9;"},    // above the stack top
+		{"storeptr", "*(p + 80000) = 9;"}, // higher still
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, a := build(t, fmt.Sprintf(reuseWriter, tc.store))
+			if err := a.Run(); err != nil {
+				t.Fatal(err)
+			}
+			mem := a.Mem
+			a.Release()
+			if a.Mem != nil {
+				t.Error("Release left the machine its memory")
+			}
+			for i, w := range mem {
+				if w != 0 {
+					t.Fatalf("word %d = %d after Release, want 0", i, w)
+				}
+			}
+
+			m, b := build(t, reuseReader)
+			ref, err := ir.Interp(m, 10_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := b.observation(); !ref.Equal(got) {
+				t.Errorf("reused memory is dirty: ret %d, events %v; want ret %d", got.Ret, got.Events, ref.Ret)
+			}
+			b.Release()
+		})
+	}
+}
+
+// TestGlobalsPastMemoryEnd: a program whose globals do not fit — only an
+// unchecked one, such as a decoded container, can have them — fails to
+// load instead of panicking.
+func TestGlobalsPastMemoryEnd(t *testing.T) {
+	m, mach := build(t, `int g; int main(void) { return g; }`)
+	prog := *mach.Prog
+	prog.Globals = append(prog.Globals, &asm.Global{Name: "huge", Size: ir.MemWords})
+	if _, err := New(&prog); err == nil {
+		t.Error("vm.New accepted globals past the end of memory")
+	}
+	m.Globals = append(m.Globals, &ir.Global{Name: "huge", Size: ir.MemWords})
+	if _, err := ir.Interp(m, 0); err == nil {
+		t.Error("ir.Interp accepted globals past the end of memory")
 	}
 }

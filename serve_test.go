@@ -444,3 +444,31 @@ func TestServeStackOverflowAnswers(t *testing.T) {
 		t.Errorf("follow-up /check status %d: %s", status, out)
 	}
 }
+
+// TestServeOversizedArraysRejected: arrays too large for machine memory
+// are a bad request. Asking twice shows the first request left nothing
+// behind (an in-flight entry a panicking compile once wedged until the
+// deadline), and the answers come well inside the request deadline.
+func TestServeOversizedArraysRejected(t *testing.T) {
+	eng := pokeholes.NewEngine(pokeholes.WithWorkers(2))
+	ts := httptest.NewServer(eng.NewServer(pokeholes.ServeSpec{RequestTimeout: 10 * time.Second}).Handler())
+	defer ts.Close()
+	client := ts.Client()
+	defer client.CloseIdleConnections()
+
+	for _, src := range []string{
+		"int g[9223372036854775807];\nint main(void) { return g[0]; }\n",
+		"int a[50000];\nint b[50000];\nint c[50000];\nint main(void) { return a[0] + b[0] + c[0]; }\n",
+	} {
+		for try := 0; try < 2; try++ {
+			start := time.Now()
+			status, out := servePost(t, client, ts.URL+"/check", checkBody(src))
+			if status != http.StatusBadRequest {
+				t.Errorf("try %d: status %d (%s), want 400 for %q", try, status, out, src)
+			}
+			if took := time.Since(start); took > 2*time.Second {
+				t.Errorf("try %d: answered after %v", try, took)
+			}
+		}
+	}
+}
