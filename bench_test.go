@@ -279,76 +279,6 @@ func BenchmarkSweepVsIndependentChecks(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepPrefixSnapshots measures the schedule-prefix snapshot
-// tier on its headline workload: a full gc version × level sweep, where
-// sibling levels share long canonical-schedule prefixes. "cold" disables
-// the tier; "snapshot" is the default engine. Both run serially (one
-// worker) so the reported passes/op and skipped/op are deterministic —
-// byte-identical reports, ~quarter fewer pass executions.
-func BenchmarkSweepPrefixSnapshots(b *testing.B) {
-	prog := pokeholes.GenerateProgram(7)
-	mx := pokeholes.FullMatrix(pokeholes.GC)
-	for _, mode := range []struct {
-		name string
-		opts []pokeholes.Option
-	}{
-		{"cold", []pokeholes.Option{pokeholes.WithWorkers(1), pokeholes.WithOptSnapshots(false)}},
-		{"snapshot", []pokeholes.Option{pokeholes.WithWorkers(1)}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var run, skipped int64
-			for i := 0; i < b.N; i++ {
-				eng := pokeholes.NewEngine(mode.opts...)
-				if _, err := eng.Sweep(context.Background(), prog, mx); err != nil {
-					b.Fatal(err)
-				}
-				s := eng.Stats()
-				run += s.PassesRun
-				skipped += s.PassesSkipped
-			}
-			b.ReportMetric(float64(run)/float64(b.N), "passes/op")
-			b.ReportMetric(float64(skipped)/float64(b.N), "skipped/op")
-		})
-	}
-}
-
-// BenchmarkScheduleReducePrefixSnapshots measures the tier on ddmin's
-// probe stream: every ScheduleReduce probe is an explicit schedule sharing
-// prefixes with earlier probes, so a snapshot-warm engine optimizes only
-// suffixes. The warming Check runs outside the timer; passes/op counts
-// only the reduction's own optimizer work.
-func BenchmarkScheduleReducePrefixSnapshots(b *testing.B) {
-	cfg := pokeholes.Config{Family: pokeholes.GC, Version: "trunk", Level: "O2"}
-	prog, report := findViolatingSeed(b, cfg)
-	v := report.Violations[0]
-	ctx := context.Background()
-	for _, mode := range []struct {
-		name string
-		opts []pokeholes.Option
-	}{
-		{"cold", []pokeholes.Option{pokeholes.WithWorkers(1), pokeholes.WithOptSnapshots(false)}},
-		{"snapshot", []pokeholes.Option{pokeholes.WithWorkers(1)}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var run int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				eng := pokeholes.NewEngine(mode.opts...)
-				if _, err := eng.Check(ctx, prog, cfg); err != nil {
-					b.Fatal(err)
-				}
-				before := eng.Stats().PassesRun
-				b.StartTimer()
-				if _, err := eng.ScheduleReduce(ctx, prog, cfg, v); err != nil {
-					b.Fatal(err)
-				}
-				run += eng.Stats().PassesRun - before
-			}
-			b.ReportMetric(float64(run)/float64(b.N), "passes/op")
-		})
-	}
-}
-
 // findViolatingSeed scans fuzzed programs for one whose check reports at
 // least one violation, so the cross-validation test and benchmark have
 // real work. Shared by TestCrossValidateSharesExecution and

@@ -128,7 +128,5 @@ func main() {
 	st := eng.Stats()
 	log.Printf("conjserved: frontend fn-cache: %d lookups, %d hits, %d functions relowered",
 		st.FnFrontends, st.FnFrontendHits, st.FnRelowered)
-	log.Printf("conjserved: optimizer: %d passes run, %d skipped via %d snapshot resumes",
-		st.PassesRun, st.PassesSkipped, st.SnapshotHits)
 	log.Printf("conjserved: drained cleanly after %s", time.Since(start).Round(time.Millisecond))
 }

@@ -31,10 +31,6 @@
 // ScheduleReduce delta-debugging run on a warm engine (every ddmin probe
 // reuses the cached lowered module) against the same reduction forced to
 // recompile from scratch on every probe, with the probes-per-op count,
-// and BENCH_passes.json, timing the schedule-prefix snapshot tier (full
-// gc sweep and one ScheduleReduce, cold vs snapshot-warm, with per-op
-// pass-execution counts and snapshot hit rates; the snapshot sweep must
-// run >= 25% fewer passes and the snapshot reduction strictly fewer),
 // and BENCH_herd.json, the distributed-hunting scaling curves (1 vs 4 vs
 // 16 sharded replicas at equal total budget, merged via corpus.Merge)
 // with the 4-replica-dominates-solo acceptance check enforced.
@@ -121,11 +117,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintln(os.Stderr, "paperbench: wrote", scheduleJSON)
-		passesJSON := filepath.Join(filepath.Dir(*benchJSON), "BENCH_passes.json")
-		if err := writeBenchPasses(passesJSON); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(os.Stderr, "paperbench: wrote", passesJSON)
 		herdJSON := filepath.Join(filepath.Dir(*benchJSON), "BENCH_herd.json")
 		if err := writeBenchHerd(herdJSON); err != nil {
 			fatal(err)
@@ -738,148 +729,6 @@ func writeBenchSchedule(path string) error {
 		r := testing.Benchmark(p.run)
 		out.Benchmarks = append(out.Benchmarks, benchScheduleRecordJSON{
 			Name: p.name, NsPerOp: r.NsPerOp(), Ops: r.N, ProbesPerOp: red.Probes})
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-type benchPassesRecordJSON struct {
-	Name    string `json:"name"`
-	NsPerOp int64  `json:"ns_per_op"`
-	Ops     int    `json:"ops"`
-	// PassesRunPerOp counts optimizer pass executions actually performed
-	// per operation; PassesSkippedPerOp the executions avoided by resuming
-	// from schedule-prefix snapshots. Run + skipped is the cold cost.
-	PassesRunPerOp     int64 `json:"passes_run_per_op"`
-	PassesSkippedPerOp int64 `json:"passes_skipped_per_op"`
-	// SnapshotHitRate is the fraction of backend compilations that resumed
-	// from a snapshot (0 for the cold records).
-	SnapshotHitRate float64 `json:"snapshot_hit_rate"`
-}
-
-// benchPassesJSON is the BENCH_passes.json schema CI uploads next to the
-// benchmark trajectory artifact: the schedule-prefix snapshot tier's
-// sweep and ddmin-probe costs, cold vs snapshot-warm.
-type benchPassesJSON struct {
-	Benchmarks  []benchPassesRecordJSON `json:"benchmarks"`
-	GeneratedAt string                  `json:"generated_at"`
-}
-
-// writeBenchPasses times the schedule-prefix snapshot tier on its two
-// designed workloads — a full gc version × level Sweep (sibling levels
-// share canonical-schedule prefixes) and one ScheduleReduce run (ddmin
-// probes share prefixes with each other) — each cold (tier disabled) and
-// snapshot-warm, with per-op pass-execution counts from a deterministic
-// serial engine. Two acceptance criteria are enforced, so trajectory
-// diffs catch a semantics regression, not just new numbers: the snapshot
-// sweep must run at least 25% fewer passes than the cold sweep, and the
-// snapshot reduction's passes/op must be strictly below the cold one's.
-// Written next to BENCH_trace.json as BENCH_passes.json.
-func writeBenchPasses(path string) error {
-	ctx := context.Background()
-	sweepProg := pokeholes.GenerateProgram(7)
-	mx := pokeholes.FullMatrix(pokeholes.GC)
-	cfg := pokeholes.Config{Family: pokeholes.GC, Version: "trunk", Level: "O2"}
-
-	// A violating program for the reduction (same scan as writeBenchTrace).
-	var vProg *minic.Program
-	var v pokeholes.Violation
-	for seed := int64(1); seed < 200; seed++ {
-		p := pokeholes.GenerateProgram(seed)
-		r, err := pokeholes.NewEngine().Check(ctx, p, cfg)
-		if err != nil {
-			return err
-		}
-		if len(r.Violations) > 0 {
-			vProg, v = p, r.Violations[0]
-			break
-		}
-	}
-	if vProg == nil {
-		return fmt.Errorf("bench passes: no violating program in the seed scan")
-	}
-
-	// All engines run serially: the prefix-reuse schedule, and with it the
-	// per-op counters, are deterministic at one worker.
-	engine := func(snapshots bool) *pokeholes.Engine {
-		return pokeholes.NewEngine(pokeholes.WithWorkers(1), pokeholes.WithOptSnapshots(snapshots))
-	}
-	sweep := func(snapshots bool) (func(b *testing.B), *pokeholes.EngineStats) {
-		stats := &pokeholes.EngineStats{}
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng := engine(snapshots)
-				if _, err := eng.Sweep(ctx, sweepProg, mx); err != nil {
-					b.Fatal(err)
-				}
-				*stats = eng.Stats()
-			}
-		}, stats
-	}
-	reduce := func(snapshots bool) (func(b *testing.B), *pokeholes.EngineStats) {
-		stats := &pokeholes.EngineStats{}
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				eng := engine(snapshots)
-				if _, err := eng.Check(ctx, vProg, cfg); err != nil {
-					b.Fatal(err)
-				}
-				warm := eng.Stats()
-				b.StartTimer()
-				if _, err := eng.ScheduleReduce(ctx, vProg, cfg, v); err != nil {
-					b.Fatal(err)
-				}
-				s := eng.Stats()
-				s.PassesRun -= warm.PassesRun
-				s.PassesSkipped -= warm.PassesSkipped
-				s.SnapshotHits -= warm.SnapshotHits
-				s.Compiles -= warm.Compiles
-				*stats = s
-			}
-		}, stats
-	}
-
-	out := benchPassesJSON{GeneratedAt: time.Now().UTC().Format(time.RFC3339)}
-	perOp := map[string]int64{}
-	for _, p := range []struct {
-		name string
-		mk   func(bool) (func(b *testing.B), *pokeholes.EngineStats)
-		snap bool
-	}{
-		{"sweep_cold", sweep, false},
-		{"sweep_snapshot", sweep, true},
-		{"reduce_probes_cold", reduce, false},
-		{"reduce_probes_snapshot", reduce, true},
-	} {
-		run, stats := p.mk(p.snap)
-		r := testing.Benchmark(run)
-		rate := 0.0
-		if stats.Compiles > 0 {
-			rate = float64(stats.SnapshotHits) / float64(stats.Compiles)
-		}
-		perOp[p.name] = stats.PassesRun
-		out.Benchmarks = append(out.Benchmarks, benchPassesRecordJSON{
-			Name: p.name, NsPerOp: r.NsPerOp(), Ops: r.N,
-			PassesRunPerOp:     stats.PassesRun,
-			PassesSkippedPerOp: stats.PassesSkipped,
-			SnapshotHitRate:    rate,
-		})
-	}
-	if cold, snap := perOp["sweep_cold"], perOp["sweep_snapshot"]; 4*snap > 3*cold {
-		return fmt.Errorf("bench passes: snapshot sweep ran %d passes/op vs %d cold — want >= 25%% fewer", snap, cold)
-	}
-	if cold, snap := perOp["reduce_probes_cold"], perOp["reduce_probes_snapshot"]; snap >= cold {
-		return fmt.Errorf("bench passes: snapshot reduction ran %d passes/op vs %d cold — want strictly fewer", snap, cold)
 	}
 	f, err := os.Create(path)
 	if err != nil {

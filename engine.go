@@ -62,20 +62,13 @@ type Engine struct {
 	// one VM execution, so CrossValidate never re-executes the binary.
 	crossdbg map[Family]Debugger
 
-	// optSnap gates the optimizer's schedule-prefix snapshot tier
-	// (WithOptSnapshots; default on, inert without a cache).
-	optSnap bool
-
 	frontends atomic.Int64
 	compiles  atomic.Int64
 	records   atomic.Int64
 
-	// Optimizer pass counters: executions actually performed by backend
-	// builds, executions skipped by resuming from a schedule-prefix
-	// snapshot, and the builds that resumed from one.
-	passesRun     atomic.Int64
-	passesSkipped atomic.Int64
-	snapshotHits  atomic.Int64
+	// passesRun counts the optimizer pass executions backend builds
+	// performed.
+	passesRun atomic.Int64
 
 	// Function-granular frontend counters: per-function cache lookups made
 	// while assembling modules, the lookups served from cache, and the
@@ -130,22 +123,11 @@ func WithArtifactStore(dir string) Option {
 	return func(e *Engine) { e.storeDir = dir }
 }
 
-// WithOptSnapshots toggles the optimizer's schedule-prefix snapshot tier
-// (default on). Snapshots never change what a build produces — outputs are
-// byte-identical with or without them — so disabling the tier is only
-// useful for measurement: paperbench compares cold against snapshot-warm
-// pass counts with it. The tier lives in the compile cache, so
-// cache-disabled engines (WithCompileCache(0)) never snapshot regardless.
-func WithOptSnapshots(on bool) Option {
-	return func(e *Engine) { e.optSnap = on }
-}
-
 // NewEngine returns a session with the given options applied.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
 		workers:   runtime.GOMAXPROCS(0),
 		cacheSize: DefaultCacheSize,
-		optSnap:   true,
 		debuggers: map[Family]Debugger{},
 	}
 	for _, o := range opts {
@@ -220,11 +202,9 @@ type EngineStats struct {
 	// build share a single execution).
 	Traces int64 `json:"traces"`
 	// PassesRun counts the optimizer pass executions backend compilations
-	// actually performed; PassesSkipped counts executions avoided by
-	// resuming from a schedule-prefix snapshot, and SnapshotHits the
-	// compilations that resumed from one. PassesRun + PassesSkipped is
-	// what the same work would have cost cold, so the skip ratio is the
-	// snapshot tier's win.
+	// performed. PassesSkipped and SnapshotHits are always 0: every
+	// compilation runs its whole schedule. They remain so that readers of
+	// the /stats JSON keep their fields.
 	PassesRun     int64 `json:"passes_run"`
 	PassesSkipped int64 `json:"passes_skipped"`
 	SnapshotHits  int64 `json:"snapshot_hits"`
@@ -254,9 +234,8 @@ func (e *Engine) Stats() EngineStats {
 	s := EngineStats{Frontends: e.frontends.Load(), Compiles: e.compiles.Load(), Traces: e.records.Load(),
 		FnFrontends: e.fnFrontends.Load(), FnFrontendHits: e.fnFrontendHits.Load(),
 		FnRelowered: e.fnRelowered.Load(),
-		PassesRun:   e.passesRun.Load(), PassesSkipped: e.passesSkipped.Load(),
-		SnapshotHits: e.snapshotHits.Load(),
-		Buckets:      e.bucketsFound.Load(), DupViolations: e.dupViolations.Load()}
+		PassesRun:   e.passesRun.Load(),
+		Buckets:     e.bucketsFound.Load(), DupViolations: e.dupViolations.Load()}
 	if total := s.Buckets + s.DupViolations; total > 0 {
 		s.DupRate = float64(s.DupViolations) / float64(total)
 	}
@@ -332,42 +311,6 @@ func (c engineFnCache) AddGlobals(key string, t *compiler.GlobalsTable) {
 	c.e.cache.Add("fnglobals|"+key, t)
 }
 
-// engineSnapshots adapts the engine's shared LRU to the optimizer's
-// prefix-snapshot tier (compiler.SnapshotStore). One value is created per
-// backend build so a hit's resumed-execution count can be folded into the
-// engine's pass counters afterwards; the cache slots themselves are shared
-// engine-wide under the "optsnap|" prefix.
-type engineSnapshots struct {
-	e       *Engine
-	base    string
-	resumed int64 // executions the snapshot hit skipped, if any
-}
-
-func (s *engineSnapshots) Lookup(digests []string, maxExec int) (int, *compiler.Snapshot, bool) {
-	// Longest prefix first; index 0 is the empty prefix, worthless to
-	// resume from. Peek keeps these probes out of the demand hit/miss
-	// stats.
-	for i := len(digests) - 1; i >= 1; i-- {
-		v, ok := s.e.cache.Peek(s.base + "|" + digests[i])
-		if !ok {
-			continue
-		}
-		snap := v.(*compiler.Snapshot)
-		if maxExec >= 0 && snap.Executions > maxExec {
-			continue
-		}
-		s.resumed = int64(snap.Executions)
-		s.e.snapshotHits.Add(1)
-		s.e.passesSkipped.Add(s.resumed)
-		return i, snap, true
-	}
-	return 0, nil, false
-}
-
-func (s *engineSnapshots) Save(digest string, snap *compiler.Snapshot) {
-	s.e.cache.Add(s.base+"|"+digest, snap)
-}
-
 // frontend returns the config-invariant lowered IR of prog, computed once
 // per canonical-source fingerprint. A module-cache miss does not re-lower
 // the whole program: the module is assembled function by function from the
@@ -381,8 +324,8 @@ func (e *Engine) frontend(ctx context.Context, prog *minic.Program) (*ir.Module,
 }
 
 // frontendKeyed is frontend with an optionally precomputed sourceKey, so
-// callers that already rendered the program (compileFrom computes the key
-// for its snapshot tier) don't render it twice.
+// callers that already rendered the program (compileFrom needs the key for
+// its compile-cache slot) don't render it twice.
 func (e *Engine) frontendKeyed(ctx context.Context, prog *minic.Program, skey string) (*ir.Module, error) {
 	if e.cache == nil {
 		e.frontends.Add(1)
@@ -425,10 +368,10 @@ func (e *Engine) frontendKeyed(ctx context.Context, prog *minic.Program, skey st
 // IR is a compile-time intermediate and is not persisted.
 func (e *Engine) compileFrom(ctx context.Context, mod *ir.Module, srcKey string, prog *minic.Program, cfg Config, o compiler.Options) (*compiler.Result, error) {
 	if e.cache != nil && srcKey == "" {
-		// Needed by both the snapshot tier below and the compile key; the
-		// cached frontend pays for this rendering anyway, so computing it
-		// up front (frontendKeyed reuses it) costs uncacheable probe
-		// builds nothing extra.
+		// Needed by both the cached frontend and the compile key; the
+		// frontend pays for this rendering anyway, so computing it up
+		// front (frontendKeyed reuses it) costs uncacheable probe builds
+		// nothing extra.
 		srcKey = sourceKey(prog)
 	}
 	build := func() (*compiler.Result, error) {
@@ -440,21 +383,11 @@ func (e *Engine) compileFrom(ctx context.Context, mod *ir.Module, srcKey string,
 			}
 		}
 		e.compiles.Add(1)
-		oc := o
-		var snaps *engineSnapshots
-		if e.cache != nil && e.optSnap && o.Stats == nil {
-			snaps = &engineSnapshots{e: e, base: "optsnap|" + srcKey + "|" + compiler.SnapshotKeyBase(cfg, o)}
-			oc.Snapshots = snaps
-		}
-		res, err := compiler.CompileFrom(m, cfg, oc)
+		res, err := compiler.CompileFrom(m, cfg, o)
 		if err != nil {
 			return nil, err
 		}
-		run := int64(res.PipelineExecutions)
-		if snaps != nil {
-			run -= snaps.resumed
-		}
-		e.passesRun.Add(run)
+		e.passesRun.Add(int64(res.PipelineExecutions))
 		return res, nil
 	}
 	if !cacheableOptions(o) || (e.cache == nil && e.store == nil) {

@@ -5,11 +5,7 @@
 // frontend even once — every ddmin probe re-optimizes the cached lowered
 // module and re-runs only the debugger — so the example asserts that the
 // engine's frontend counter is unchanged across the reduction and exits
-// non-zero if any probe slipped back to a full recompile. The probes must
-// also lean on the schedule-prefix snapshot tier — each one resumes from
-// the longest cached prefix state instead of re-optimizing from entry 0 —
-// so the example additionally asserts that the reduction skipped at least
-// one pass execution via a snapshot.
+// non-zero if any probe slipped back to a full recompile.
 //
 // Usage:
 //
@@ -60,9 +56,7 @@ func main() {
 		*src, cfg, len(rep.Violations), v.Conjecture, v.Var, v.Line)
 
 	// The Check above lowered the program once; the reduction must reuse
-	// that cached module for every probe (Optimize+Codegen only), and its
-	// probes — explicit schedules sharing prefixes with the canonical run
-	// and each other — must resume from prefix snapshots.
+	// that cached module for every probe (Optimize+Codegen only).
 	before := eng.Stats()
 	red, err := eng.ScheduleReduce(ctx, prog, cfg, v)
 	if err != nil {
@@ -72,14 +66,9 @@ func main() {
 	if d := after.Frontends - before.Frontends; d != 0 {
 		log.Fatalf("schedreduce: reduction ran the frontend %d times, want 0 (probes must reuse the cached lowered module)", d)
 	}
-	skipped := after.PassesSkipped - before.PassesSkipped
-	if skipped == 0 {
-		log.Fatalf("schedreduce: reduction skipped no pass executions (stats %+v); probes must resume from schedule-prefix snapshots", after)
-	}
 
 	fmt.Printf("minimal schedule: %s\n", orNone(red.Schedule.String()))
-	fmt.Printf("probes: %d (all frontend-free, %d pass executions skipped via %d snapshot resumes)\n",
-		red.Probes, skipped, after.SnapshotHits-before.SnapshotHits)
+	fmt.Printf("probes: %d (all frontend-free)\n", red.Probes)
 	if red.Interaction() {
 		fmt.Println("interaction bug: reproducing needs >= 2 passes together")
 	} else if red.Schedule.Len() == 1 {

@@ -67,21 +67,6 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
-// Peek returns the cached value for key, marking it most recently used,
-// without touching the hit/miss counters. Probe-heavy tiers — the
-// optimizer's longest-prefix snapshot search tries many keys per lookup —
-// use it so Stats keep describing demand lookups.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(pair[K, V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
 // GetOrCompute returns the cached value for key, computing and storing it
 // with fn on a miss. Concurrent calls for the same key coalesce: one runs
 // fn, the rest block and share its result. Errors are returned to every

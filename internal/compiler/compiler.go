@@ -85,13 +85,6 @@ type Options struct {
 	// triage's schedule delta debugging. It applies even at O0, and
 	// Disabled/BisectLimit apply on top of it.
 	Schedule *opt.Schedule
-	// Snapshots, when non-nil, lets Optimize resume from cached
-	// schedule-prefix states and publish new ones (the engine's snapshot
-	// tier). It is purely an execution shortcut — results are
-	// byte-identical with or without it — and is ignored for
-	// stats-exporting builds (Stats != nil), whose per-pass counters must
-	// observe every execution.
-	Snapshots SnapshotStore
 }
 
 // normalizeBisectLimit maps Options.BisectLimit's zero value to "no limit"
@@ -145,42 +138,26 @@ func Frontend(prog *minic.Program) (*ir.Module, error) {
 // configuration's active defects (adjusted by o) and returns the optimized
 // clone plus the pipeline statistics. The input module is not modified.
 // It fails only when an explicit schedule names an unregistered pass.
-//
-// With o.Snapshots set, the run may resume from a cached schedule-prefix
-// state instead of entry 0 (see snapshot.go); the returned module and
-// Result are byte-identical either way.
 func Optimize(m *ir.Module, cfg Config, o Options) (*ir.Module, *opt.Result, error) {
-	o.BisectLimit = normalizeBisectLimit(o.BisectLimit)
 	if cfg.Level == "O0" && o.Schedule == nil {
 		return m.Clone(), &opt.Result{}, nil
 	}
 	sched := ScheduleFor(cfg)
-	canonical := true
 	if o.Schedule != nil {
-		canonical = o.Schedule.Equal(sched)
 		sched = *o.Schedule
 	}
-	oo := opt.Options{
+	clone := m.Clone()
+	pr, err := opt.RunSchedule(clone, sched, opt.Options{
 		Disabled:    o.Disabled,
-		BisectLimit: o.BisectLimit,
+		BisectLimit: normalizeBisectLimit(o.BisectLimit),
 		Defects:     activeDefects(cfg, o),
 		Level:       cfg.Level,
 		Stats:       o.Stats,
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	if o.Snapshots == nil || o.Stats != nil {
-		clone := m.Clone()
-		pr, err := opt.RunSchedule(clone, sched, oo)
-		if err != nil {
-			return nil, nil, err
-		}
-		return clone, pr, nil
-	}
-	if len(oo.Disabled) > 0 {
-		eff := filterDisabled(sched, oo.Disabled)
-		canonical = canonical && eff.Len() == sched.Len()
-		sched, oo.Disabled = eff, nil
-	}
-	return optimizeResumable(m, cfg, sched, canonical, o.Snapshots, oo)
+	return clone, pr, nil
 }
 
 // Codegen turns optimized IR into an executable under the configuration's
@@ -234,19 +211,6 @@ func CompileFrom(m *ir.Module, cfg Config, o Options) (*Result, error) {
 	}
 	res.Exe = exe
 	return res, nil
-}
-
-// PipelineLength returns the number of pass executions a full compilation
-// of prog at cfg would perform (the bisection upper bound).
-func PipelineLength(prog *minic.Program, cfg Config, disabled map[string]bool) (int, error) {
-	m, err := ir.Lower(prog)
-	if err != nil {
-		return 0, err
-	}
-	if cfg.Level == "O0" {
-		return 0, nil
-	}
-	return opt.CountExecutions(m, Pipeline(cfg), disabled), nil
 }
 
 // PassNames lists the distinct pass names of cfg's pipeline, in order of

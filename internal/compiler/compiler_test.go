@@ -1,11 +1,15 @@
 package compiler
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/debugger"
 	"repro/internal/ir"
 	"repro/internal/minic"
+	"repro/internal/opt"
 	"repro/internal/vm"
 )
 
@@ -223,10 +227,11 @@ func TestLineCoverageShape(t *testing.T) {
 func TestBisectAndDisableKnobs(t *testing.T) {
 	prog := minic.MustParse(testPrograms[0])
 	cfg := Config{Family: CL, Version: "trunk", Level: "O2"}
-	n, err := PipelineLength(prog, cfg, nil)
+	full, err := Compile(prog, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := full.PipelineExecutions
 	if n < 5 {
 		t.Fatalf("pipeline too short: %d", n)
 	}
@@ -283,4 +288,60 @@ func TestConfigHelpers(t *testing.T) {
 	if len(names) < 8 {
 		t.Errorf("too few pass names: %v", names)
 	}
+}
+
+// TestBisectLimitZeroCompilerTreatsAsUnlimited pins the normalization at
+// the exported boundary: Options.BisectLimit 0 means "no limit" for both
+// Compile and Optimize — identical to an explicit -1 — while the raw opt
+// layer's literal reading of 0 is pinned in internal/opt's
+// TestBisectLimitZeroRawLayer.
+func TestBisectLimitZeroCompilerTreatsAsUnlimited(t *testing.T) {
+	prog := minic.MustParse(testPrograms[0])
+	cfg := Config{Family: CL, Version: "trunk", Level: "O2"}
+	want, err := Compile(prog, cfg, Options{BisectLimit: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Compile(prog, cfg, Options{BisectLimit: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.PipelineExecutions != want.PipelineExecutions || got.PipelineExecutions == 0 {
+		t.Errorf("limit 0 executed %d passes, limit -1 executed %d; want equal and nonzero",
+			got.PipelineExecutions, want.PipelineExecutions)
+	}
+	if !reflect.DeepEqual(got.Applied, want.Applied) {
+		t.Errorf("limit 0 applied %v, limit -1 applied %v", got.Applied, want.Applied)
+	}
+	m, err := ir.Lower(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, res, err := Optimize(m, cfg, Options{BisectLimit: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Executions != want.PipelineExecutions {
+		t.Errorf("Optimize with limit 0 ran %d executions, want %d", res.Executions, want.PipelineExecutions)
+	}
+}
+
+// TestPipelineCanonicalSchedulePanic pins the documented failure mode: the
+// canonical schedules may only name registered passes, and a registry
+// regression must surface as a panic at Pipeline, not as a silent
+// mis-compile downstream.
+func TestPipelineCanonicalSchedulePanic(t *testing.T) {
+	restore := opt.RemoveRegisteredPassForTest("mem2reg")
+	defer restore()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Pipeline materialized a canonical schedule naming an unregistered pass; want panic")
+		}
+		msg := fmt.Sprint(r)
+		if !strings.Contains(msg, "canonical schedule for") || !strings.Contains(msg, "does not materialize") {
+			t.Fatalf("panic message %q, want the documented \"canonical schedule for ... does not materialize\" form", msg)
+		}
+	}()
+	Pipeline(Config{Family: GC, Version: "trunk", Level: "O2"})
 }

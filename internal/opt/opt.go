@@ -88,69 +88,38 @@ type Result struct {
 // preallocated from CountExecutions — this is the hot Optimize path, and
 // per-execution slice growth shows up there.
 func RunPipeline(m *ir.Module, passes []Pass, o Options) *Result {
-	ctx := newContext(m, o)
-	res := &Result{Applied: make([]string, 0, CountExecutions(m, passes, o.Disabled))}
-	for _, p := range passes {
-		if o.Disabled[p.Name()] {
-			continue
-		}
-		if !runEntry(m, p, ctx, res, o.BisectLimit) {
-			return res
-		}
-	}
-	return res
-}
-
-// newContext builds the shared per-run pass context from the options.
-func newContext(m *ir.Module, o Options) *Context {
 	ctx := &Context{Mod: m, Defects: o.Defects, Stats: o.Stats, Level: o.Level}
 	if ctx.Defects == nil {
 		ctx.Defects = map[string]bool{}
 	}
-	return ctx
-}
-
-// runEntry applies one pass to the module under the execution budget
-// (limit < 0 = unbounded), recording into res. It returns false when the
-// budget stopped the entry before every one of its executions ran.
-func runEntry(m *ir.Module, p Pass, ctx *Context, res *Result, limit int) bool {
-	budget := func() bool { return limit < 0 || res.Executions < limit }
-	if mp, ok := p.(ModulePass); ok {
-		if !budget() {
-			return false
-		}
-		mp.RunModule(ctx)
-		res.Executions++
-		res.Applied = append(res.Applied, p.Name())
-		return true
-	}
-	for _, f := range m.Funcs {
-		if f.Opaque {
+	res := &Result{Applied: make([]string, 0, CountExecutions(m, passes, o.Disabled))}
+	budget := func() bool { return o.BisectLimit < 0 || res.Executions < o.BisectLimit }
+	for _, p := range passes {
+		if o.Disabled[p.Name()] {
 			continue
 		}
-		if !budget() {
-			return false
+		if mp, ok := p.(ModulePass); ok {
+			if !budget() {
+				return res
+			}
+			mp.RunModule(ctx)
+			res.Executions++
+			res.Applied = append(res.Applied, p.Name())
+			continue
 		}
-		p.Run(f, ctx)
-		res.Executions++
-		res.Applied = append(res.Applied, p.Name()+"("+f.Name+")")
-	}
-	return true
-}
-
-// entryCost is CountExecutions for a single pass on the module's current
-// function set.
-func entryCost(m *ir.Module, p Pass) int {
-	if _, ok := p.(ModulePass); ok {
-		return 1
-	}
-	n := 0
-	for _, f := range m.Funcs {
-		if !f.Opaque {
-			n++
+		for _, f := range m.Funcs {
+			if f.Opaque {
+				continue
+			}
+			if !budget() {
+				return res
+			}
+			p.Run(f, ctx)
+			res.Executions++
+			res.Applied = append(res.Applied, p.Name()+"("+f.Name+")")
 		}
 	}
-	return n
+	return res
 }
 
 // CountExecutions returns how many pass executions a full pipeline run would

@@ -91,34 +91,6 @@ func (s Schedule) Digest() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// PrefixDigests returns the digest of every prefix of the schedule:
-// element i is the digest of Entries[:i], so element 0 is the empty
-// schedule's digest and element Len() equals Digest(). The slice is
-// computed with one incremental FNV-1a pass over the canonical string
-// form — digesting all prefixes costs the same as digesting the full
-// schedule once. Prefix digests key the optimizer's snapshot tier: two
-// schedules that share their first i entries — and only those — share
-// their i-entry prefix digest.
-func (s Schedule) PrefixDigests() []string {
-	out := make([]string, len(s.Entries)+1)
-	h := fnv.New64a()
-	out[0] = fmt.Sprintf("%016x", h.Sum64())
-	for i, e := range s.Entries {
-		if i > 0 {
-			h.Write([]byte{','})
-		}
-		h.Write([]byte(e.String()))
-		out[i+1] = fmt.Sprintf("%016x", h.Sum64())
-	}
-	return out
-}
-
-// PrefixDigest returns the digest of the schedule's first n entries —
-// PrefixDigests()[n] computed alone. PrefixDigest(Len()) == Digest().
-func (s Schedule) PrefixDigest(n int) string {
-	return Schedule{Entries: s.Entries[:n]}.Digest()
-}
-
 // ParseSchedule parses the canonical string form produced by
 // Schedule.String. Every named pass must be registered; budgeted passes
 // accept an optional ":<int>" argument.
@@ -235,62 +207,6 @@ func RunSchedule(m *ir.Module, s Schedule, o Options) (*Result, error) {
 		return nil, err
 	}
 	return RunPipeline(m, passes, o), nil
-}
-
-// Checkpoint observes a RunScheduleFrom execution at an entry boundary.
-// prefixLen is the number of schedule entries fully executed so far
-// (counting the skipped prefix), so the module at that moment is exactly
-// the state Entries[:prefixLen] produces; res is the live suffix result —
-// implementations that retain it must copy. final marks the last boundary
-// the run completes: either the whole schedule ran, or the budget stops
-// inside (or immediately before) the next entry, making mid-entry states
-// — which are not prefix states — unreachable as snapshots.
-type Checkpoint func(prefixLen int, res *Result, final bool)
-
-// RunScheduleFrom is RunSchedule resuming at an entry offset: the module
-// is assumed to be in the state Entries[:start] left it (a snapshot the
-// caller cloned), only Entries[start:] execute, and res covers the suffix
-// alone — the caller stitches the prefix's Executions/Applied back on.
-// BisectLimit, like the result, is suffix-local. cp, when non-nil, fires
-// at every entry boundary after start, letting the caller publish the
-// intermediate module states as snapshots; boundaries at or before start
-// are never re-emitted.
-func RunScheduleFrom(m *ir.Module, s Schedule, o Options, start int, cp Checkpoint) (*Result, error) {
-	passes, err := s.Passes()
-	if err != nil {
-		return nil, err
-	}
-	if start < 0 || start > len(passes) {
-		return nil, fmt.Errorf("opt: schedule offset %d out of range [0, %d]", start, len(passes))
-	}
-	ctx := newContext(m, o)
-	res := &Result{Applied: make([]string, 0, CountExecutions(m, passes[start:], o.Disabled))}
-	limit := o.BisectLimit
-	for i := start; i < len(passes); i++ {
-		p := passes[i]
-		disabled := o.Disabled[p.Name()]
-		need := 0
-		if !disabled {
-			need = entryCost(m, p)
-		}
-		// The budget runs out inside (or right before) this entry, so the
-		// boundary ahead of it is the last completed one.
-		partial := limit >= 0 && res.Executions+need > limit
-		if cp != nil && i > start {
-			cp(i, res, partial)
-		}
-		if disabled {
-			continue
-		}
-		runEntry(m, p, ctx, res, limit)
-		if partial {
-			return res, nil
-		}
-	}
-	if cp != nil && len(passes) > start {
-		cp(len(passes), res, true)
-	}
-	return res, nil
 }
 
 // RemoveRegisteredPassForTest unregisters a pass and returns a function

@@ -181,3 +181,69 @@ func TestScheduleDigestDistinguishesArgs(t *testing.T) {
 		t.Fatalf("Clone aliases the original entries")
 	}
 }
+
+// TestParseScheduleErrorPaths pins each distinct error with its message,
+// so callers can tell an unknown pass from a malformed entry.
+func TestParseScheduleErrorPaths(t *testing.T) {
+	cases := []struct {
+		in, wantSub string
+	}{
+		{"nosuchpass", `unknown pass "nosuchpass"`},
+		{"mem2reg,bogus:3", `unknown pass "bogus"`},
+		{"mem2reg,,dce", "empty pass name"},
+		{":4", "empty pass name"},
+		{"inline:forty", `bad argument "forty" for pass "inline"`},
+		{"dce:", `bad argument "" for pass "dce"`},
+	}
+	for _, c := range cases {
+		_, err := ParseSchedule(c.in)
+		if err == nil {
+			t.Errorf("ParseSchedule(%q) succeeded, want error containing %q", c.in, c.wantSub)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.wantSub) {
+			t.Errorf("ParseSchedule(%q) error %q, want it to contain %q", c.in, err.Error(), c.wantSub)
+		}
+	}
+}
+
+// TestBisectLimitZeroRawLayer pins the documented asymmetry the compiler
+// helper normalizes away: at the raw opt layer an explicit limit of 0
+// means "stop before the first pass" — zero executions, empty Applied —
+// for RunPipeline and RunSchedule alike.
+func TestBisectLimitZeroRawLayer(t *testing.T) {
+	// Two functions and a loop, so the schedule mixes module- and
+	// function-pass executions.
+	const src = `
+int helper(int x) { return x + 2; }
+int main(void) {
+  int i = 0;
+  int acc = 7;
+  while (i < 8) {
+    acc = acc + helper(i);
+    i = i + 1;
+  }
+  return acc;
+}
+`
+	for _, run := range []struct {
+		name string
+		run  func(t *testing.T) *Result
+	}{
+		{"RunPipeline", func(t *testing.T) *Result {
+			return RunPipeline(lowerSrc(t, src), allPasses(), Options{BisectLimit: 0})
+		}},
+		{"RunSchedule", func(t *testing.T) *Result {
+			res, err := RunSchedule(lowerSrc(t, src), ScheduleOf(allPasses()), Options{BisectLimit: 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}},
+	} {
+		res := run.run(t)
+		if res.Executions != 0 || len(res.Applied) != 0 {
+			t.Errorf("%s with limit 0 ran %d executions (%v), want none", run.name, res.Executions, res.Applied)
+		}
+	}
+}

@@ -13,10 +13,7 @@ import (
 // down to a minimal subsequence that still reproduces the violation. A
 // result naming two or more passes is a pass-interaction bug — e.g.
 // inlining exposing a defect in a later scalar pass — which single-culprit
-// triage conflates with the plain single-pass bucket. ddmin probes are
-// subsequences of one canonical schedule, so consecutive probes share long
-// prefixes; on a snapshot-enabled engine each probe resumes from the
-// longest cached prefix state instead of re-optimizing from entry 0.
+// triage conflates with the plain single-pass bucket.
 
 // ScheduleReduction is ScheduleReduce's outcome.
 type ScheduleReduction struct {

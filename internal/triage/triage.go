@@ -7,14 +7,6 @@
 //   - FlagSearch, for the gcc-like family: recompile with one pass disabled
 //     at a time (the -fno-<opt> survey); every flag whose removal makes the
 //     violation vanish is a culprit candidate.
-//
-// Both probe streams are prefix-friendly by construction — a bisection
-// probe executes a prefix of the full pipeline, and a flag-disable probe
-// shares the schedule up to the disabled pass's first occurrence — so on
-// an engine with the schedule-prefix snapshot tier enabled each probe
-// resumes from the longest cached prefix state and re-optimizes only its
-// suffix (ascending bisection probes become O(suffix) instead of
-// O(whole pipeline)).
 package triage
 
 import (

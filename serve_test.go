@@ -258,6 +258,7 @@ func TestServeBadRequests(t *testing.T) {
 		{"empty campaign", "/campaign", `{"family":"gc","version":"trunk","n":0}`, http.StatusBadRequest},
 		{"bad minimize conjecture", "/minimize", fmt.Sprintf(`{"source":%q,"family":"gc","version":"trunk","level":"O2","conjecture":7,"var":"x"}`, src), http.StatusBadRequest},
 		{"unknown sweep version", "/sweep", fmt.Sprintf(`{"source":%q,"family":"gc","versions":["v99"]}`, src), http.StatusBadRequest},
+		{"repeated sweep version", "/sweep", fmt.Sprintf(`{"source":%q,"family":"gc","versions":["trunk","trunk"],"levels":["O2"]}`, src), http.StatusBadRequest},
 	} {
 		status, out := servePost(t, client, ts.URL+tc.path, tc.body)
 		if status != tc.want {

@@ -4,13 +4,9 @@ package pokeholes
 // one program across a whole version × level grid of a family while
 // sharing every configuration-invariant artifact — the lowered IR module
 // (frontend runs once per program), the static-analysis facts, and the
-// per-version O0 reference traces of the quantitative study. Sibling
-// levels additionally share optimizer work through the engine's
-// schedule-prefix snapshot tier: a level whose canonical schedule extends
-// a prefix another level already ran resumes from that cached state and
-// executes only its suffix (see internal/compiler/snapshot.go). Configs
-// fan out over the engine's worker pool; results land at their config
-// index, so aggregation is deterministic at any parallelism.
+// per-version O0 reference traces of the quantitative study. Configs fan
+// out over the engine's worker pool; results land at their config index,
+// so aggregation is deterministic at any parallelism.
 
 import (
 	"context"
@@ -72,24 +68,36 @@ func (m Matrix) withDefaults() Matrix {
 	return m
 }
 
-// validate rejects unknown families, versions and levels.
+// validate rejects unknown families, versions and levels, and any version
+// or level listed twice: the grid has one cell per pair, so a repeated
+// dimension would only multiply the work (and the reply) of one request.
 func (m Matrix) validate() error {
 	if m.Family != GC && m.Family != CL {
 		return fmt.Errorf("pokeholes: unknown family %q", m.Family)
 	}
+	seen := map[string]bool{}
 	for _, v := range m.Versions {
 		if (Config{Family: m.Family, Version: v}).VersionIndex() < 0 {
 			return fmt.Errorf("pokeholes: unknown version %q for family %s", v, m.Family)
 		}
+		if seen[v] {
+			return fmt.Errorf("pokeholes: version %q listed twice", v)
+		}
+		seen[v] = true
 	}
 	known := map[string]bool{}
 	for _, l := range Levels(m.Family) {
 		known[l] = true
 	}
+	seen = map[string]bool{}
 	for _, l := range m.Levels {
 		if !known[l] {
 			return fmt.Errorf("pokeholes: unknown level %q for family %s", l, m.Family)
 		}
+		if seen[l] {
+			return fmt.Errorf("pokeholes: level %q listed twice", l)
+		}
+		seen[l] = true
 	}
 	return nil
 }

@@ -206,6 +206,8 @@ func TestMatrixValidation(t *testing.T) {
 		{Family: pokeholes.GC, Versions: []string{"v99"}},
 		{Family: pokeholes.GC, Levels: []string{"O7"}},
 		{Family: pokeholes.CL, Levels: []string{"O1"}}, // O1 is gc-only
+		{Family: pokeholes.GC, Versions: []string{"trunk", "v8", "trunk"}},
+		{Family: pokeholes.GC, Levels: []string{"O2", "O2"}},
 	}
 	for _, mx := range bad {
 		if _, err := eng.Sweep(ctx, prog, mx); err == nil {
